@@ -42,7 +42,10 @@ string(REGEX REPLACE ".*\n" "" candidate_json "${out}")
 if(candidate_json STREQUAL "")
   message(FATAL_ERROR "bench produced no JSON document")
 endif()
-set(candidate_file "${CMAKE_CURRENT_BINARY_DIR}/benchdiff_candidate.json")
+# One candidate file per baseline, so gates never overwrite each other.
+get_filename_component(baseline_name "${BASELINE}" NAME_WE)
+set(candidate_file
+    "${CMAKE_CURRENT_BINARY_DIR}/${baseline_name}_candidate.json")
 file(WRITE "${candidate_file}" "${candidate_json}\n")
 
 execute_process(

@@ -39,10 +39,10 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
       message(FATAL_ERROR "telemetry trace missing phase span '${phase}'")
     endif()
   endforeach()
-  # Per-stage latency histograms with streaming quantiles.
+  # Per-stage latency tails with exact quantiles.
   string(JSON metrics GET "${out}" metrics)
   foreach(needle IN ITEMS
-      drlhmd.runtime.stage_latency_us "\"p50\"" "\"p95\"" "\"p99\""
+      drlhmd.runtime.stage_tail_us "\"p50\"" "\"p999\"" "\"p99\""
       drlhmd.runtime.verdicts drlhmd.pipeline.phase_seconds
       drlhmd.serve.queue_depth drlhmd.serve.dropped_total
       drlhmd.serve.enqueued drlhmd.serve.e2e_us)

@@ -39,14 +39,6 @@ DetectionRuntime::DetectionRuntime(Framework& framework, RuntimeConfig config)
   integrity_alarms_ = &reg.counter("drlhmd.runtime.integrity.alarms");
   quarantine_gauge_ = &reg.gauge("drlhmd.runtime.quarantine_size");
   retrain_gauge_ = &reg.gauge("drlhmd.runtime.retrain_count");
-  latency_predictor_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "predictor"}});
-  latency_detector_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "detector"}});
-  latency_integrity_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "integrity"}});
-  latency_total_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "total"}});
   const obs::TailConfig& tail_cfg = obs::default_latency_tail_config();
   tail_predictor_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
                               {{"stage", "predictor"}});
@@ -73,15 +65,13 @@ RuntimeStats DetectionRuntime::stats() const {
 
 TrafficVerdict DetectionRuntime::process(std::span<const double> features) {
   const bool timed = obs::Telemetry::enabled();
-  const obs::ScopedLatency total(timed ? latency_total_ : nullptr,
-                                 timed ? tail_total_ : nullptr);
+  const obs::ScopedLatency total(timed ? tail_total_ : nullptr);
   processed_->inc();
 
   // Line of defense 1: the DRL predictor's feedback reward.
   bool flagged;
   {
-    const obs::ScopedLatency t(timed ? latency_predictor_ : nullptr,
-                               timed ? tail_predictor_ : nullptr);
+    const obs::ScopedLatency t(timed ? tail_predictor_ : nullptr);
     flagged = framework_.predictor().is_adversarial(features);
   }
   if (flagged) {
@@ -98,8 +88,7 @@ TrafficVerdict DetectionRuntime::process(std::span<const double> features) {
   // Line of defense 2: the constraint-aware controller's scheduled model.
   int prediction;
   {
-    const obs::ScopedLatency t(timed ? latency_detector_ : nullptr,
-                               timed ? tail_detector_ : nullptr);
+    const obs::ScopedLatency t(timed ? tail_detector_ : nullptr);
     prediction = framework_.controller(config_.policy).predict(features);
   }
   if (prediction == 1) {
@@ -131,8 +120,7 @@ void DetectionRuntime::maybe_validate_integrity() {
 
 bool DetectionRuntime::validate_integrity() {
   const bool timed = obs::Telemetry::enabled();
-  const obs::ScopedLatency t(timed ? latency_integrity_ : nullptr,
-                             timed ? tail_integrity_ : nullptr);
+  const obs::ScopedLatency t(timed ? tail_integrity_ : nullptr);
   integrity_checks_->inc();
   bool all_intact = true;
   for (const auto& model : framework_.defended_models()) {
@@ -160,9 +148,9 @@ void DetectionRuntime::process_batch(ml::BatchView batch,
     throw std::invalid_argument(
         "DetectionRuntime::process_batch: out size mismatch");
   // Whole-batch wall time into the exact tail histogram (the per-stage
-  // histograms cannot be recorded inside the parallel scoring region).
+  // tails cannot be recorded inside the parallel scoring region).
   const obs::ScopedLatency batch_timer(
-      nullptr, obs::Telemetry::enabled() ? tail_batch_ : nullptr);
+      obs::Telemetry::enabled() ? tail_batch_ : nullptr);
   // All scoring scratch is arena-backed: a warmed-up runtime allocates
   // nothing on this path (the quarantine push below only allocates while
   // its ring grows toward the retrain threshold).
@@ -259,7 +247,7 @@ ml::MetricReport DetectionRuntime::process_stream(const ml::Dataset& stream) {
   stream.validate();
   std::vector<TrafficVerdict> verdicts;
   if (obs::Telemetry::enabled()) {
-    // Per-row path so the stage latency histograms see every sample;
+    // Per-row path so the stage latency tails see every sample;
     // the batch path cannot time individual stages inside its parallel
     // scoring region.
     verdicts.reserve(stream.size());

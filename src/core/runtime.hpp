@@ -14,8 +14,9 @@
 //
 // Every counter lives in an obs::MetricsRegistry (`drlhmd.runtime.*`), so
 // hmdctl, the benches, and RuntimeStats all read one source of truth.
-// Per-stage latency histograms (predictor / detector / integrity / total)
-// are recorded only while obs::Telemetry is enabled.
+// Per-stage latency tails (drlhmd.runtime.stage_tail_us{stage=predictor|
+// detector|integrity|total}) are recorded only while obs::Telemetry is
+// enabled.
 #pragma once
 
 #include "core/framework.hpp"
@@ -149,11 +150,6 @@ class DetectionRuntime {
   obs::Counter* integrity_alarms_;
   obs::Gauge* quarantine_gauge_;
   obs::Gauge* retrain_gauge_;
-  obs::Histogram* latency_predictor_;
-  obs::Histogram* latency_detector_;
-  obs::Histogram* latency_integrity_;
-  obs::Histogram* latency_total_;
-  // Exact tail histograms alongside the legacy P² stage histograms:
   // drlhmd.runtime.stage_tail_us{stage=} per stage, and per-batch wall
   // time in drlhmd.runtime.batch_tail_us.
   obs::ShardedTailHistogram* tail_predictor_;

@@ -59,18 +59,6 @@ class Classifier {
   virtual void predict_proba_batch(BatchView batch,
                                    std::span<double> out) const;
 
-  /// Serving-oriented batch scoring: same contract as predict_proba_batch
-  /// but allowed to run the quantized/arena kernel layer, whose
-  /// probabilities may differ from the reference path in the last float
-  /// bits while hard 0.5 decisions stay exact for the tree ensembles (the
-  /// kernels quantize thresholds onto the per-feature cut grid, preserving
-  /// every comparison outcome — see DESIGN.md §12).  Default forwards to
-  /// the bitwise-exact path; detectors with a kernel override it.
-  virtual void predict_proba_batch_fast(BatchView batch,
-                                        std::span<double> out) const {
-    predict_proba_batch(batch, out);
-  }
-
   std::vector<double> predict_proba_batch(BatchView batch) const;
   /// Zero-copy over the dataset's columnar storage.
   std::vector<double> predict_proba_batch(const Dataset& data) const;

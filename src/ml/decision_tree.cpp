@@ -12,6 +12,8 @@ namespace drlhmd::ml {
 namespace {
 
 constexpr std::uint8_t kFormatVersion = 1;
+/// Serialized node: u32 feature, f64 threshold, u32 left, u32 right, f64 value.
+constexpr std::size_t kNodeBytes = 28;
 
 /// Nodes at least this large scan candidate features in parallel, each
 /// feature over its own sorted row copy.  That path sorts with an explicit
@@ -34,57 +36,19 @@ double gini(double n_pos, double n_total) {
   return 2.0 * p * (1.0 - p);
 }
 
-}  // namespace
+/// Recursive CART growth into trainer-order nodes.
+struct CartGrower {
+  const ColumnAccess& train;
+  std::span<const std::uint32_t> weights;
+  const DecisionTreeConfig& config;
+  Tree nodes;
 
-DecisionTree::DecisionTree(DecisionTreeConfig config) : config_(config) {
-  if (config_.max_depth == 0)
-    throw std::invalid_argument("DecisionTree: max_depth must be > 0");
-  if (config_.min_samples_split < 2)
-    throw std::invalid_argument("DecisionTree: min_samples_split must be >= 2");
-  if (config_.min_samples_leaf == 0)
-    throw std::invalid_argument("DecisionTree: min_samples_leaf must be > 0");
-}
+  std::uint32_t grow(std::vector<std::size_t>& rows, std::size_t depth,
+                     util::Rng& rng);
+};
 
-void DecisionTree::fit(const Dataset& train) {
-  train.validate();
-  fit_stream(DatasetSource(train));
-}
-
-void DecisionTree::fit_stream(const DataSource& train) {
-  const ColumnAccess cols(train);
-  const std::vector<std::uint32_t> weights(cols.rows(), 1);
-  fit_weighted(cols, weights);
-}
-
-void DecisionTree::fit_weighted(const Dataset& train,
-                                std::span<const std::uint32_t> weights) {
-  train.validate();
-  const DatasetSource source(train);
-  fit_weighted(ColumnAccess(source), weights);
-}
-
-void DecisionTree::fit_weighted(const ColumnAccess& train,
-                                std::span<const std::uint32_t> weights) {
-  if (train.rows() == 0)
-    throw std::invalid_argument("DecisionTree::fit: empty dataset");
-  if (weights.size() != train.rows())
-    throw std::invalid_argument("DecisionTree::fit_weighted: weight size mismatch");
-
-  nodes_.clear();
-  std::vector<std::size_t> rows;
-  for (std::size_t i = 0; i < train.rows(); ++i)
-    if (weights[i] > 0) rows.push_back(i);
-  if (rows.empty())
-    throw std::invalid_argument("DecisionTree::fit_weighted: all weights zero");
-  util::Rng rng(config_.seed);
-  build(train, weights, rows, 0, rng);
-  build_flat();
-}
-
-std::uint32_t DecisionTree::build(const ColumnAccess& train,
-                                  std::span<const std::uint32_t> weights,
-                                  std::vector<std::size_t>& rows, std::size_t depth,
-                                  util::Rng& rng) {
+std::uint32_t CartGrower::grow(std::vector<std::size_t>& rows,
+                                std::size_t depth, util::Rng& rng) {
   double w_total = 0.0, w_pos = 0.0;
   for (std::size_t r : rows) {
     const double w = weights[r];
@@ -92,22 +56,22 @@ std::uint32_t DecisionTree::build(const ColumnAccess& train,
     if (train.label(r) == 1) w_pos += w;
   }
 
-  const auto node_index = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node_index].proba = w_total > 0.0 ? w_pos / w_total : 0.5;
+  const auto node_index = static_cast<std::uint32_t>(nodes.size());
+  nodes.emplace_back();
+  nodes[node_index].value = w_total > 0.0 ? w_pos / w_total : 0.5;
 
   const bool pure = w_pos == 0.0 || w_pos == w_total;
-  if (pure || depth >= config_.max_depth || rows.size() < config_.min_samples_split)
+  if (pure || depth >= config.max_depth || rows.size() < config.min_samples_split)
     return node_index;
 
   // Candidate features (subsampled for random forests).
   const std::size_t width = train.num_features();
   std::vector<std::size_t> features;
-  if (config_.max_features == 0 || config_.max_features >= width) {
+  if (config.max_features == 0 || config.max_features >= width) {
     features.resize(width);
     std::iota(features.begin(), features.end(), 0);
   } else {
-    features = rng.sample_without_replacement(width, config_.max_features);
+    features = rng.sample_without_replacement(width, config.max_features);
   }
 
   // Exact greedy split search: sort rows per feature, scan boundaries.
@@ -145,8 +109,8 @@ std::uint32_t DecisionTree::build(const ColumnAccess& train,
             const double v = colf[r];
             const double v_next = colf[sorted[k + 1]];
             if (v == v_next) continue;  // no boundary between equal values
-            if (left_count < config_.min_samples_leaf ||
-                sorted.size() - left_count < config_.min_samples_leaf)
+            if (left_count < config.min_samples_leaf ||
+                sorted.size() - left_count < config.min_samples_leaf)
               continue;
             const double right_total = w_total - left_total;
             const double right_pos = w_pos - left_pos;
@@ -189,8 +153,8 @@ std::uint32_t DecisionTree::build(const ColumnAccess& train,
         const double v = colf[r];
         const double v_next = colf[sorted[k + 1]];
         if (v == v_next) continue;  // no boundary between equal values
-        if (left_count < config_.min_samples_leaf ||
-            sorted.size() - left_count < config_.min_samples_leaf)
+        if (left_count < config.min_samples_leaf ||
+            sorted.size() - left_count < config.min_samples_leaf)
           continue;
         const double right_total = w_total - left_total;
         const double right_pos = w_pos - left_pos;
@@ -220,218 +184,117 @@ std::uint32_t DecisionTree::build(const ColumnAccess& train,
   rows.clear();
   rows.shrink_to_fit();  // release before recursing
 
-  nodes_[node_index].feature = static_cast<std::uint32_t>(best_feature);
-  nodes_[node_index].threshold = best_threshold;
-  const std::uint32_t left = build(train, weights, left_rows, depth + 1, rng);
-  nodes_[node_index].left = left;
-  const std::uint32_t right = build(train, weights, right_rows, depth + 1, rng);
-  nodes_[node_index].right = right;
+  nodes[node_index].feature = static_cast<std::uint32_t>(best_feature);
+  nodes[node_index].threshold = best_threshold;
+  const std::uint32_t left = grow(left_rows, depth + 1, rng);
+  nodes[node_index].left = left;
+  const std::uint32_t right = grow(right_rows, depth + 1, rng);
+  nodes[node_index].right = right;
   return node_index;
+}
+
+}  // namespace
+
+DecisionTree::DecisionTree(DecisionTreeConfig config) : config_(config) {
+  if (config_.max_depth == 0)
+    throw std::invalid_argument("DecisionTree: max_depth must be > 0");
+  if (config_.min_samples_split < 2)
+    throw std::invalid_argument("DecisionTree: min_samples_split must be >= 2");
+  if (config_.min_samples_leaf == 0)
+    throw std::invalid_argument("DecisionTree: min_samples_leaf must be > 0");
+}
+
+void DecisionTree::fit(const Dataset& train) {
+  train.validate();
+  fit_stream(DatasetSource(train));
+}
+
+void DecisionTree::fit_stream(const DataSource& train) {
+  const ColumnAccess cols(train);
+  const std::vector<std::uint32_t> weights(cols.rows(), 1);
+  kernel_.build({grow(cols, weights, config_)});
+}
+
+void DecisionTree::fit_weighted(const Dataset& train,
+                                std::span<const std::uint32_t> weights) {
+  train.validate();
+  const DatasetSource source(train);
+  kernel_.build({grow(ColumnAccess(source), weights, config_)});
+}
+
+Tree DecisionTree::grow(const ColumnAccess& train,
+                       std::span<const std::uint32_t> weights,
+                       const DecisionTreeConfig& config) {
+  if (train.rows() == 0)
+    throw std::invalid_argument("DecisionTree::fit: empty dataset");
+  if (weights.size() != train.rows())
+    throw std::invalid_argument("DecisionTree::fit_weighted: weight size mismatch");
+
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < train.rows(); ++i)
+    if (weights[i] > 0) rows.push_back(i);
+  if (rows.empty())
+    throw std::invalid_argument("DecisionTree::fit_weighted: all weights zero");
+  util::Rng rng(config.seed);
+  CartGrower grower{train, weights, config, {}};
+  grower.grow(rows, 0, rng);
+  return std::move(grower.nodes);
 }
 
 double DecisionTree::predict_proba(std::span<const double> features) const {
   if (!trained()) throw std::logic_error("DecisionTree: not trained");
-  std::uint32_t idx = 0;
-  for (;;) {
-    const Node& node = nodes_[idx];
-    if (node.feature == Node::kLeaf) return node.proba;
-    if (node.feature >= features.size())
-      throw std::invalid_argument("DecisionTree: feature width mismatch");
-    idx = features[node.feature] <= node.threshold ? node.left : node.right;
-  }
-}
-
-void DecisionTree::build_flat() {
-  flat_.assign(nodes_.size(), FlatNode{});
-  flat_depth_ = 0;
-  required_width_ = 0;
-  if (nodes_.empty()) return;
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    FlatNode& flat = flat_[i];
-    if (node.feature == Node::kLeaf) {
-      // Self-loop: whichever way the (dummy) compare goes, the lane stays
-      // parked on its leaf for the remaining sweeps.
-      flat.kid[0] = flat.kid[1] = i;
-    } else {
-      flat.feature = node.feature;
-      flat.threshold = node.threshold;
-      flat.kid[0] = node.left;
-      flat.kid[1] = node.right;
-      required_width_ = std::max(required_width_, node.feature + 1);
-    }
-  }
-  flat_depth_ = depth() - 1;  // root->leaf transitions
-
-  std::vector<std::vector<KernelBuildNode>> trees;
-  append_kernel_tree(trees);
-  kernel_.build(trees);
-}
-
-void DecisionTree::append_kernel_tree(
-    std::vector<std::vector<KernelBuildNode>>& trees) const {
-  std::vector<KernelBuildNode> tree(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    KernelBuildNode& dst = tree[i];
-    if (node.feature == Node::kLeaf) {
-      dst.leaf = true;
-      dst.value = node.proba;
-    } else {
-      dst.feature = node.feature;
-      dst.threshold = node.threshold;
-      dst.left = node.left;
-      dst.right = node.right;
-    }
-  }
-  trees.push_back(std::move(tree));
-}
-
-void DecisionTree::predict_proba_batch_fast(BatchView batch,
-                                            std::span<double> out) const {
-  if (!trained()) throw std::logic_error("DecisionTree: not trained");
-  check_batch_out(batch, out);
-  if (batch.rows() == 0) return;
-  // A single tree never amortizes the kernel's encode stage: quantizing a
-  // row costs one binary search per feature but serves only one traversal,
-  // so the exact FlatNode sweep is the faster path here (ensembles reuse
-  // the codes across every member tree — that is where the kernel wins).
-  // The kernel still serves the fused configuration, whose contract is
-  // raw, unscaled batch columns that the exact path cannot consume.
-  if (kernel_.ready() && kernel_.fused()) {
-    std::fill(out.begin(), out.end(), 0.0);
-    kernel_.accumulate(batch, out);
-    return;
-  }
-  predict_proba_batch(batch, out);
-}
-
-void DecisionTree::score_block(BatchView batch, std::size_t row0,
-                               std::size_t count, std::span<double> out,
-                               bool accumulate) const {
-  // Lockstep descent over the flat mirror: every lane advances one level
-  // per sweep, so up to kTraversalLanes independent node->value load
-  // chains are in flight instead of one per row.  The body compiles to a
-  // handful of instructions with no data-dependent branch — the child is
-  // an indexed load (kid[0/1]), leaves self-loop, and the trip count is
-  // the fixed flat_depth_, so the branch predictor sees only counted
-  // loops.  `v <= threshold ? 0 : 1` keeps the row path's NaN behavior
-  // (NaN goes right).  Callers validate feature width once per batch call
-  // (required_width_) and peel root-is-leaf stumps, so column 0 is always
-  // readable for the dummy load a parked lane issues.
-  std::uint32_t idx[kTraversalLanes];
-  for (std::size_t l = 0; l < count; ++l) idx[l] = 0;
-  const FlatNode* flat = flat_.data();
-  const double* base = batch.col(0).data();
-  const std::size_t stride = batch.stride();
-  if (count == kTraversalLanes) {
-    for (std::size_t step = 0; step < flat_depth_; ++step) {
-      for (std::size_t l = 0; l < kTraversalLanes; ++l) {
-        const FlatNode& n = flat[idx[l]];
-        const double v = base[n.feature * stride + row0 + l];
-        idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-      }
-    }
-  } else {
-    for (std::size_t step = 0; step < flat_depth_; ++step) {
-      for (std::size_t l = 0; l < count; ++l) {
-        const FlatNode& n = flat[idx[l]];
-        const double v = base[n.feature * stride + row0 + l];
-        idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-      }
-    }
-  }
-  const Node* nodes = nodes_.data();
-  if (accumulate) {
-    for (std::size_t l = 0; l < count; ++l) out[row0 + l] += nodes[idx[l]].proba;
-  } else {
-    for (std::size_t l = 0; l < count; ++l) out[row0 + l] = nodes[idx[l]].proba;
-  }
+  return kernel_.score_row(features, 0.0);
 }
 
 void DecisionTree::predict_proba_batch(BatchView batch,
                                        std::span<double> out) const {
   if (!trained()) throw std::logic_error("DecisionTree: not trained");
   check_batch_out(batch, out);
-  if (batch.rows() == 0) return;
-  if (required_width_ > batch.cols())
-    throw std::invalid_argument("DecisionTree: feature width mismatch");
-  if (nodes_[0].feature == Node::kLeaf) {
-    std::fill(out.begin(), out.end(), nodes_[0].proba);
-    return;
-  }
-  for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kTraversalLanes)
-    score_block(batch, r0, std::min(kTraversalLanes, batch.rows() - r0), out,
-                /*accumulate=*/false);
+  std::fill(out.begin(), out.end(), 0.0);
+  kernel_.accumulate(batch, out);
 }
 
-void DecisionTree::accumulate_proba_batch(BatchView batch,
-                                          std::span<double> out) const {
-  if (!trained()) throw std::logic_error("DecisionTree: not trained");
-  check_batch_out(batch, out);
-  if (batch.rows() == 0) return;
-  if (required_width_ > batch.cols())
-    throw std::invalid_argument("DecisionTree: feature width mismatch");
-  if (nodes_[0].feature == Node::kLeaf) {
-    for (double& v : out) v += nodes_[0].proba;
-    return;
-  }
-  for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kTraversalLanes)
-    score_block(batch, r0, std::min(kTraversalLanes, batch.rows() - r0), out,
-                /*accumulate=*/true);
-}
-
-std::size_t DecisionTree::depth() const {
-  if (nodes_.empty()) return 0;
-  // Iterative DFS carrying depth.
-  std::vector<std::pair<std::uint32_t, std::size_t>> stack{{0, 1}};
-  std::size_t max_depth = 0;
-  while (!stack.empty()) {
-    auto [idx, d] = stack.back();
-    stack.pop_back();
-    max_depth = std::max(max_depth, d);
-    const Node& node = nodes_[idx];
-    if (node.feature != Node::kLeaf) {
-      stack.push_back({node.left, d + 1});
-      stack.push_back({node.right, d + 1});
-    }
-  }
-  return max_depth;
-}
-
-std::vector<std::uint8_t> DecisionTree::serialize() const {
+std::vector<std::uint8_t> DecisionTree::write_tree(const Tree& tree) {
   util::ByteWriter w;
   w.write_string("DT");
   w.write_u8(kFormatVersion);
-  w.write_u64(nodes_.size());
-  for (const Node& n : nodes_) {
+  w.write_u64(tree.size());
+  for (const TreeNode& n : tree) {
     w.write_u32(n.feature);
     w.write_f64(n.threshold);
     w.write_u32(n.left);
     w.write_u32(n.right);
-    w.write_f64(n.proba);
+    w.write_f64(n.value);
   }
   return w.take();
 }
 
-DecisionTree DecisionTree::deserialize(std::span<const std::uint8_t> bytes) {
+Tree DecisionTree::read_tree(std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   if (r.read_string() != "DT")
     throw std::invalid_argument("DecisionTree::deserialize: bad magic");
   if (r.read_u8() != kFormatVersion)
     throw std::invalid_argument("DecisionTree::deserialize: bad version");
-  DecisionTree tree;
-  const std::uint64_t count = r.read_u64();
-  tree.nodes_.resize(static_cast<std::size_t>(count));
-  for (auto& n : tree.nodes_) {
+  Tree tree(r.read_count(kNodeBytes));
+  for (TreeNode& n : tree) {
     n.feature = r.read_u32();
     n.threshold = r.read_f64();
     n.left = r.read_u32();
     n.right = r.read_u32();
-    n.proba = r.read_f64();
+    n.value = r.read_f64();
   }
-  tree.build_flat();
   return tree;
+}
+
+std::vector<std::uint8_t> DecisionTree::serialize() const {
+  return write_tree(trained() ? kernel_.tree(0) : Tree{});
+}
+
+DecisionTree DecisionTree::deserialize(std::span<const std::uint8_t> bytes) {
+  DecisionTree model;
+  Tree tree = read_tree(bytes);
+  if (!tree.empty()) model.kernel_.build({std::move(tree)});
+  return model;
 }
 
 std::unique_ptr<Classifier> DecisionTree::clone_untrained() const {

@@ -31,93 +31,41 @@ class DecisionTree final : public Classifier {
   /// monolithic fits build byte-identical trees.
   void fit_stream(const DataSource& train) override;
   /// Fit with per-row multiplicities (bootstrap counts); rows with weight 0
-  /// are ignored.  Used by RandomForest.
+  /// are ignored.
   void fit_weighted(const Dataset& train, std::span<const std::uint32_t> weights);
-  /// Column-access flavor of fit_weighted; RandomForest shares one
-  /// ColumnAccess (and its lazy column cache) across all member trees.
-  void fit_weighted(const ColumnAccess& train,
-                    std::span<const std::uint32_t> weights);
 
   double predict_proba(std::span<const double> features) const override;
-  /// Block traversal: lanes of up to 16 rows walk the tree in lockstep so
-  /// their dependent node loads overlap.  Bitwise identical to the row path.
+  /// The engine's threshold sweep: a lone tree never amortizes the
+  /// cut-code encode.  Bitwise identical to the row path.
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
-  /// out[r] += P(malware | batch row r).  RandomForest uses this to
-  /// accumulate trees over a whole batch in row-path summation order.
-  void accumulate_proba_batch(BatchView batch, std::span<double> out) const;
-  /// Fast batch scoring.  A lone tree cannot amortize the kernel's
-  /// per-tile encode stage, so this stays on the bitwise-exact FlatNode
-  /// sweep — except when fuse_preprocess() has rewritten the kernel to
-  /// consume raw columns, where the quantized kernel is the only correct
-  /// reader (decisions exact; probabilities differ only by float leaf
-  /// rounding).
-  void predict_proba_batch_fast(BatchView batch,
-                                std::span<double> out) const override;
-  /// Append this tree's nodes in ForestKernel build form; RandomForest
-  /// fuses all member trees into one ensemble kernel.
-  void append_kernel_tree(std::vector<std::vector<KernelBuildNode>>& trees) const;
-  /// Fuse scaler + feature selection into the kernel (see
-  /// ForestKernel::fuse_preprocess): the fast path then consumes raw,
-  /// unscaled batch columns.  The exact paths are unaffected.
-  void fuse_preprocess(std::span<const double> mean,
-                       std::span<const double> scale,
-                       std::span<const std::uint32_t> columns) {
-    kernel_.fuse_preprocess(mean, scale, columns);
-  }
   const ForestKernel& kernel() const { return kernel_; }
   std::string name() const override { return "DT"; }
   std::vector<std::uint8_t> serialize() const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
-  bool trained() const override { return !nodes_.empty(); }
+  bool trained() const override { return !kernel_.empty(); }
 
   static DecisionTree deserialize(std::span<const std::uint8_t> bytes);
 
-  std::size_t node_count() const { return nodes_.size(); }
-  std::size_t depth() const;
+  /// Grow one CART tree (trainer node order).  RandomForest grows its
+  /// members through this and hands them to one shared engine.
+  static Tree grow(const ColumnAccess& train,
+                   std::span<const std::uint32_t> weights,
+                   const DecisionTreeConfig& config);
+  /// The DT byte format of one tree, shared with RandomForest's members.
+  static std::vector<std::uint8_t> write_tree(const Tree& tree);
+  /// Inverse of write_tree; the node count is checked against the input
+  /// size before anything is allocated.  Structure is checked by the
+  /// engine's build.
+  static Tree read_tree(std::span<const std::uint8_t> bytes);
+
+  std::size_t node_count() const { return kernel_.node_count(); }
+  /// Nodes on the longest root-to-leaf path (0 when untrained).
+  std::size_t depth() const { return trained() ? kernel_.depth(0) + 1 : 0; }
 
  private:
-  struct Node {
-    // Internal node when feature != kLeaf; children are indices into nodes_.
-    static constexpr std::uint32_t kLeaf = 0xFFFFFFFFu;
-    std::uint32_t feature = kLeaf;
-    double threshold = 0.0;
-    std::uint32_t left = 0;
-    std::uint32_t right = 0;
-    double proba = 0.0;  // P(malware) at leaf
-  };
-
-  std::uint32_t build(const ColumnAccess& train,
-                      std::span<const std::uint32_t> weights,
-                      std::vector<std::size_t>& rows, std::size_t depth,
-                      util::Rng& rng);
-
-  /// Batch traversal mirror of nodes_, rebuilt by fit/deserialize (never
-  /// serialized).  Children sit in an indexable pair so the descent is a
-  /// pure `idx = kid[v <= threshold ? 0 : 1]` — no select, no branch — and
-  /// leaves self-loop (kid[0] == kid[1] == self, feature 0), so the sweep
-  /// needs no leaf test: it just runs flat_depth_ levels and every lane
-  /// parks on its leaf.
-  struct FlatNode {
-    std::uint32_t feature = 0;
-    std::uint32_t kid[2] = {0, 0};
-    double threshold = 0.0;
-  };
-
-  /// Rebuild flat_ / flat_depth_ / required_width_ from nodes_.
-  void build_flat();
-
-  /// Traverse rows [row0, row0 + count) in lockstep; count <= 16.  Writes
-  /// (or adds to, when `accumulate`) out[row0 + l].
-  void score_block(BatchView batch, std::size_t row0, std::size_t count,
-                   std::span<double> out, bool accumulate) const;
-
   DecisionTreeConfig config_;
-  std::vector<Node> nodes_;
-  std::vector<FlatNode> flat_;
-  ForestKernel kernel_;  // quantized mirror; rebuilt by fit/deserialize
-  std::size_t flat_depth_ = 0;        // transitions from root to deepest leaf
-  std::uint32_t required_width_ = 0;  // widest feature index + 1
+  ForestKernel kernel_;
 };
 
 }  // namespace drlhmd::ml

@@ -1,38 +1,29 @@
-// Quantized SoA inference kernel for tree ensembles (DT / RF / GBDT).
+// The one tree engine: DT, RF and GBDT all store and score their trees here.
 //
-// The per-tree pointer-chasing layouts are fused into one contiguous
-// ensemble arena of 8-byte nodes, and every threshold comparison is
-// replaced by an integer compare against a per-feature *cut index*:
+// Trainers hand over trees in their own node order (`TreeNode`, root at
+// index 0).  build() validates them once and lays every tree out in one
+// arena with children adjacent (right == left + 1) and self-looping leaves,
+// so every lane of a traversal runs a fixed `depth` steps and parks on its
+// leaf.  Two sweeps read that arena; which one scores a batch follows only
+// from the ensemble itself:
 //
-//   cuts[f]  = sorted distinct thresholds used by feature f anywhere in
-//              the ensemble;
-//   code(x)  = #{ c in cuts[f] : c < x }   (uint16, lower_bound)
-//   x <= t   <=>  code(x) <= tq            where cuts[f][tq] == t
+//   * cut-code sweep — more than one tree and the thresholds fit the uint16
+//     cut budget.  Each feature's distinct thresholds form a sorted cut
+//     grid; a value encodes as code(x) = #{ c in cuts[f] : c < x }, and
+//     since every threshold is a grid point, x <= t <=> code(x) <= tq.  The
+//     codes are computed once per (feature, 1024-row tile) and shared by
+//     every tree, whose nodes shrink to 8 bytes.  NaN encodes as 0xFFFF and
+//     goes right, exactly like `v <= t`.
+//   * threshold sweep — a single tree, an over-budget grid, and every row
+//     call (a 1-row batch, which stops on its leaf instead of parking).
+//     Compares the doubles directly, 16 lanes in lockstep.
 //
-// so the traversal decision `x <= threshold ? left : right` becomes
-// `left + (code > tq)` — branch-free, 8 bytes of node state, and *exact*:
-// every double that reaches the comparison lands on the same side as the
-// reference path (NaN maps to code 0xFFFF and therefore always goes
-// right, matching `v <= t ? 0 : 1`).  Codes are computed once per
-// (feature, row) tile and shared by every tree in the ensemble.
-//
-// The speedup over the FlatNode path comes from three structural changes
-// the exact path cannot make:
-//   * shared encode — the binary search against the thresholds is hoisted
-//     out of the traversal and paid once per (feature, row) tile instead
-//     of once per tree level, as interleaved branchless searches that are
-//     throughput- rather than latency-bound;
-//   * register-lane traversal — 16 rows descend in lockstep as named
-//     scalar indices (never spilled), and each level costs one 8-byte
-//     node load plus one uint16 code load with the code-tile offset baked
-//     into the node, compare, select — no branches, no multiplies;
-//   * quantized state — 8-byte nodes and 2-byte codes instead of 24-byte
-//     FlatNodes and 8-byte doubles keep the whole ensemble cache-resident
-//     while every tree replays the tile.
-//
-// The kernel is a derived artifact: rebuilt on fit()/deserialize(), never
-// serialized.  Scratch comes from the per-thread arena (zero heap
-// allocations in steady state).  See DESIGN.md §12.
+// Both sweeps add each tree's double leaf value into the caller's `out`
+// tree by tree, so they are bitwise identical to each other and to a row
+// walk that sums in the same order.  tree() hands the nodes back in
+// trainer order, which is what the models serialize.  Scratch comes from
+// the per-thread arena (zero heap allocations in steady state).  See
+// DESIGN.md §12.
 #pragma once
 
 #include <cstdint>
@@ -43,92 +34,92 @@
 
 namespace drlhmd::ml {
 
-/// One node of a source tree handed to ForestKernel::build (root at
-/// index 0; `left`/`right` are indices within the same tree).
-struct KernelBuildNode {
-  bool leaf = false;
-  std::uint32_t feature = 0;
-  double threshold = 0.0;  // decision: go left iff x <= threshold
-  std::uint32_t left = 0;
+/// One tree node in trainer order: the form every tree trainer emits and
+/// every tree deserializer reads.
+struct TreeNode {
+  static constexpr std::uint32_t kLeaf = 0xFFFFFFFFu;
+  std::uint32_t feature = kLeaf;  // internal node when != kLeaf
+  double threshold = 0.0;         // go left iff x <= threshold
+  std::uint32_t left = 0;         // child indices within the same tree
   std::uint32_t right = 0;
-  double value = 0.0;  // leaf payload (probability / GBDT leaf value)
+  double value = 0.0;  // leaf payload; internal nodes keep theirs for the bytes
+  bool leaf() const { return feature == kLeaf; }
 };
+using Tree = std::vector<TreeNode>;
 
 class ForestKernel {
  public:
-  ForestKernel() = default;
-
-  /// Distinct-threshold budget per feature: one more and the uint16 cut
-  /// code (with 0xFFFF reserved for NaN) could not index the grid, so
-  /// build() refuses and ready() stays false (callers fall back to the
-  /// exact FlatNode path).
+  /// Distinct-threshold budget per feature for the cut-code sweep: the
+  /// uint16 code reserves 0xFFFF for NaN.
   static constexpr std::size_t kMaxCuts = 65000;
 
-  /// Build the quantized ensemble from per-tree node vectors.  Leaves the
-  /// kernel unready (without throwing) when the ensemble exceeds the
-  /// uint16 feature/cut budgets.
-  void build(const std::vector<std::vector<KernelBuildNode>>& trees);
+  ForestKernel() = default;
 
-  /// Fuse a standard scaler + feature selection into the cut grid: cut c
-  /// of model feature f is rewritten to the largest double X with
-  /// (X - mean[f]) / scale[f] <= c (the caller's double-precision
-  /// transform), and feature f is remapped to raw column columns[f].
-  /// Afterwards accumulate() consumes raw, unscaled BatchView columns and
-  /// makes exactly the same decisions the exact path makes on the scaled
-  /// view.  mean/scale/columns are indexed by model feature and must
-  /// cover required_width() entries.
-  void fuse_preprocess(std::span<const double> mean,
-                       std::span<const double> scale,
-                       std::span<const std::uint32_t> columns);
+  /// Validate and lay out the trees.  Throws std::invalid_argument unless
+  /// every tree is non-empty, every child index is in range, and every
+  /// node is reached exactly once from its tree's root.  No trees leaves
+  /// the engine empty.
+  void build(const std::vector<Tree>& trees);
 
-  bool ready() const { return !roots_.empty(); }
-  bool fused() const { return fused_; }
+  bool empty() const { return roots_.empty(); }
   std::size_t tree_count() const { return roots_.size(); }
   std::size_t node_count() const { return nodes_.size(); }
-  /// Minimum batch width accepted by accumulate().
-  std::size_t required_width() const { return required_width_; }
+  /// Root-to-deepest-leaf transitions of tree t.
+  std::size_t depth(std::size_t t) const { return depths_[t]; }
+  /// Tree t in trainer order (leaves carry zero child indices).
+  Tree tree(std::size_t t) const;
+  /// True when accumulate() runs the cut-code sweep.
+  bool cut_codes() const { return !code_nodes_.empty(); }
 
-  /// out[r] += sum over trees of the (float) leaf value reached by row r.
-  /// Caller owns the initial contents of `out` (zero for DT/RF, the base
-  /// score for GBDT).  Tree-major accumulation order matches the exact
-  /// batch paths.
+  /// out[r] += sum over trees, in tree order, of the leaf value row r
+  /// reaches.  The caller owns the initial contents of `out` (zero for
+  /// DT/RF, the base score for GBDT).
   void accumulate(BatchView batch, std::span<double> out) const;
+  /// The two sweeps behind accumulate(), for parity tests and benches.
+  /// accumulate_codes() requires cut_codes().
+  void accumulate_thresholds(BatchView batch, std::span<double> out) const;
+  void accumulate_codes(BatchView batch, std::span<double> out) const;
+  /// init + sum of the row's leaf values: the threshold sweep over a 1-row
+  /// batch view of `row` (zero copy).
+  double score_row(std::span<const double> row, double init) const;
 
  private:
-  // 8-byte quantized node.  Internal: children are DFS-adjacent
-  // (right == left + 1), so `left + (code > tq)` selects the child.
-  // Leaf: tq == kLeafTq and left == own index — code is a uint16 and can
-  // never exceed 0xFFFF, so leaf lanes self-loop ("park") for the rest of
-  // the fixed-depth trip.
+  // Threshold-sweep node.  Internal: kid = {left, left + 1}.  Leaf:
+  // kid = {self, self} and feature 0, so a parked lane reads column 0 and
+  // stays put.  A leaf keeps its trainer threshold for tree().
   struct Node {
+    double threshold = 0.0;
+    std::uint32_t feature = 0;
+    std::uint32_t kid[2] = {0, 0};
+  };
+  // Cut-code node: `left + (code > tq)` selects the child; leaves have
+  // tq == 0xFFFF and left == self, which no uint16 code exceeds.  `feature`
+  // is pre-multiplied by the code-tile stride when codes_scaled_.
+  struct CodeNode {
     std::uint16_t feature = 0;
     std::uint16_t tq = 0;
     std::uint32_t left = 0;
   };
-  static constexpr std::uint16_t kLeafTq = 0xFFFF;
 
-  /// Rebuild scaled_nodes_ (feature index pre-multiplied by the code-tile
-  /// stride so the hot loop adds it straight to the lane offset) after the
-  /// cut grid changes; clears it when feature * stride overflows uint16
-  /// (ensembles wider than 64 model features fall back to the tiled path).
-  void bake_scaled();
-  /// Stage 1: quantize tile rows [t0, t0 + tile) onto the cut grid into a
-  /// feature-major code tile, codes[f * tile_cap + r].
+  /// Build the cut grid and code nodes; leaves them empty when the grid
+  /// does not fit (the threshold sweep then serves every batch).
+  void build_codes();
+  void check(BatchView batch, std::span<const double> out) const;
+  /// Quantize tile rows [t0, t0 + tile) into codes[f * kTile + r].
   void encode_tile(BatchView batch, std::size_t t0, std::size_t tile,
-                   std::uint16_t* codes, std::size_t tile_cap) const;
-  void accumulate_scaled(BatchView batch, std::span<double> out) const;
-  void accumulate_tiled(BatchView batch, std::span<double> out) const;
+                   std::uint16_t* codes) const;
 
-  std::vector<Node> nodes_;         // all trees, DFS order, children adjacent
-  std::vector<Node> scaled_nodes_;  // mirror with feature := feature * stride
-  std::vector<float> leaf_values_;  // per node; 0 for internal nodes
+  std::vector<Node> nodes_;            // all trees, children adjacent
+  std::vector<double> values_;         // per node
+  std::vector<std::uint32_t> source_;  // trainer index within its tree
   std::vector<std::uint32_t> roots_;
-  std::vector<std::uint32_t> depths_;       // fixed trip count per tree
+  std::vector<std::uint32_t> depths_;  // fixed trip count per tree
+  std::size_t required_width_ = 0;     // widest feature index + 1
+
+  std::vector<CodeNode> code_nodes_;        // empty: threshold sweep only
   std::vector<double> cuts_;                // CSR threshold grid by feature
-  std::vector<std::uint32_t> cut_offsets_;  // size n_model_features + 1
-  std::vector<std::uint32_t> feature_map_;  // model feature -> batch column
-  std::size_t required_width_ = 0;
-  bool fused_ = false;
+  std::vector<std::uint32_t> cut_offsets_;  // size n_features + 1
+  bool codes_scaled_ = false;
 };
 
 }  // namespace drlhmd::ml

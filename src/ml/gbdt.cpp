@@ -99,7 +99,6 @@ void Gbdt::fit_stream(const DataSource& train) {
   const double pos = static_cast<double>(pos_count);
   const double p0 = std::clamp(pos / static_cast<double>(n), 1e-6, 1.0 - 1e-6);
   base_score_ = std::log(p0 / (1.0 - p0));
-  trees_.clear();
 
   // Histogram binning (column-major binned matrix).  Each feature's double
   // column is materialized into a chunk-local scratch, binned to 1-byte
@@ -132,6 +131,8 @@ void Gbdt::fit_stream(const DataSource& train) {
 
   std::vector<double> raw(n, base_score_);
   std::vector<double> gradients(n), hessians(n);
+  std::vector<Tree> trees;
+  trees.reserve(config_.n_rounds);
 
   for (std::size_t round = 0; round < config_.n_rounds; ++round) {
     util::parallel_for("gbdt.gradients", 0, n, 0, [&](std::size_t i) {
@@ -144,9 +145,8 @@ void Gbdt::fit_stream(const DataSource& train) {
     // exactly bin_uppers[feature][bin], so lower_bound lands on that bin.
     std::vector<std::size_t> node_bin(tree.size(), 0);
     for (std::size_t k = 0; k < tree.size(); ++k) {
-      if (tree[k].feature == Node::kLeaf) continue;
-      const std::vector<double>& uppers =
-          bin_uppers[static_cast<std::size_t>(tree[k].feature)];
+      if (tree[k].leaf()) continue;
+      const std::vector<double>& uppers = bin_uppers[tree[k].feature];
       node_bin[k] = static_cast<std::size_t>(
           std::lower_bound(uppers.begin(), uppers.end(), tree[k].threshold) -
           uppers.begin());
@@ -155,35 +155,33 @@ void Gbdt::fit_stream(const DataSource& train) {
     // only its own slot).  Decision-identical to comparing the double value
     // against the threshold: v <= uppers[bin] iff bin_of(v) <= bin.
     util::parallel_for("gbdt.raw_update", 0, n, 0, [&](std::size_t i) {
-      std::int32_t idx = 0;
+      std::uint32_t idx = 0;
       for (;;) {
-        const Node& node = tree[static_cast<std::size_t>(idx)];
-        if (node.feature == Node::kLeaf) {
+        const TreeNode& node = tree[idx];
+        if (node.leaf()) {
           raw[i] += node.value;
           break;
         }
-        const std::size_t f = static_cast<std::size_t>(node.feature);
-        idx = binned[f][i] <= node_bin[static_cast<std::size_t>(idx)]
-                  ? node.left
-                  : node.right;
+        idx = binned[node.feature][i] <= node_bin[idx] ? node.left
+                                                       : node.right;
       }
     });
-    trees_.push_back(std::move(tree));
+    trees.push_back(std::move(tree));
   }
+  kernel_.build(trees);
   trained_ = true;
-  build_flat();
 }
 
-Gbdt::Tree Gbdt::grow_tree(const std::vector<std::vector<std::uint8_t>>& binned,
-                           const std::vector<std::vector<double>>& bin_uppers,
-                           std::span<const double> gradients,
-                           std::span<const double> hessians,
-                           std::size_t n_rows) const {
+Tree Gbdt::grow_tree(const std::vector<std::vector<std::uint8_t>>& binned,
+                     const std::vector<std::vector<double>>& bin_uppers,
+                     std::span<const double> gradients,
+                     std::span<const double> hessians,
+                     std::size_t n_rows) const {
   const std::size_t width = binned.size();
 
   struct LeafCandidate {
     std::vector<std::size_t> rows;
-    std::int32_t node_index;
+    std::uint32_t node_index;
     std::size_t depth;
     SplitDecision split;
     double sum_g = 0.0, sum_h = 0.0;
@@ -301,11 +299,11 @@ Gbdt::Tree Gbdt::grow_tree(const std::vector<std::vector<std::uint8_t>>& binned,
     }
 
     // Convert the leaf into an internal node.
-    Node& node = tree[static_cast<std::size_t>(cand.node_index)];
-    node.feature = static_cast<std::int32_t>(cand.split.feature);
+    TreeNode& node = tree[cand.node_index];
+    node.feature = static_cast<std::uint32_t>(cand.split.feature);
     node.threshold = bin_uppers[cand.split.feature][cand.split.bin];
-    node.left = static_cast<std::int32_t>(tree.size());
-    node.right = static_cast<std::int32_t>(tree.size() + 1);
+    node.left = static_cast<std::uint32_t>(tree.size());
+    node.right = static_cast<std::uint32_t>(tree.size() + 1);
     left.node_index = node.left;
     right.node_index = node.right;
     tree.emplace_back();
@@ -325,152 +323,18 @@ Gbdt::Tree Gbdt::grow_tree(const std::vector<std::vector<std::uint8_t>>& binned,
 
 double Gbdt::raw_score(std::span<const double> features) const {
   if (!trained_) throw std::logic_error("Gbdt: not trained");
-  double total = base_score_;
-  for (const Tree& tree : trees_) {
-    std::int32_t idx = 0;
-    for (;;) {
-      const Node& node = tree[static_cast<std::size_t>(idx)];
-      if (node.feature == Node::kLeaf) {
-        total += node.value;
-        break;
-      }
-      if (static_cast<std::size_t>(node.feature) >= features.size())
-        throw std::invalid_argument("Gbdt: feature width mismatch");
-      idx = features[static_cast<std::size_t>(node.feature)] <= node.threshold
-                ? node.left
-                : node.right;
-    }
-  }
-  return total;
+  return kernel_.score_row(features, base_score_);
 }
 
 double Gbdt::predict_proba(std::span<const double> features) const {
   return sigmoid(raw_score(features));
 }
 
-void Gbdt::build_flat() {
-  flat_trees_.assign(trees_.size(), {});
-  flat_depths_.assign(trees_.size(), 0);
-  required_width_ = 0;
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    const Tree& tree = trees_[t];
-    std::vector<FlatNode>& flat = flat_trees_[t];
-    flat.assign(tree.size(), FlatNode{});
-    for (std::uint32_t i = 0; i < tree.size(); ++i) {
-      const Node& node = tree[i];
-      if (node.feature == Node::kLeaf) {
-        flat[i].kid[0] = flat[i].kid[1] = i;  // parked lane stays on its leaf
-      } else {
-        flat[i].feature = static_cast<std::uint32_t>(node.feature);
-        flat[i].threshold = node.threshold;
-        flat[i].kid[0] = static_cast<std::uint32_t>(node.left);
-        flat[i].kid[1] = static_cast<std::uint32_t>(node.right);
-        required_width_ = std::max(
-            required_width_, static_cast<std::size_t>(node.feature) + 1);
-      }
-    }
-    // Max root->leaf transition count: the lockstep sweep's trip count.
-    std::size_t max_d = 0;
-    std::vector<std::pair<std::int32_t, std::size_t>> stack{{0, 0}};
-    while (!stack.empty()) {
-      const auto [i, d] = stack.back();
-      stack.pop_back();
-      const Node& node = tree[static_cast<std::size_t>(i)];
-      if (node.feature == Node::kLeaf) {
-        max_d = std::max(max_d, d);
-        continue;
-      }
-      stack.push_back({node.left, d + 1});
-      stack.push_back({node.right, d + 1});
-    }
-    flat_depths_[t] = max_d;
-  }
-
-  std::vector<std::vector<KernelBuildNode>> forest(trees_.size());
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    const Tree& tree = trees_[t];
-    forest[t].resize(tree.size());
-    for (std::size_t i = 0; i < tree.size(); ++i) {
-      const Node& node = tree[i];
-      KernelBuildNode& dst = forest[t][i];
-      if (node.feature == Node::kLeaf) {
-        dst.leaf = true;
-        dst.value = node.value;
-      } else {
-        dst.feature = static_cast<std::uint32_t>(node.feature);
-        dst.threshold = node.threshold;
-        dst.left = static_cast<std::uint32_t>(node.left);
-        dst.right = static_cast<std::uint32_t>(node.right);
-      }
-    }
-  }
-  kernel_.build(forest);
-}
-
-void Gbdt::predict_proba_batch_fast(BatchView batch,
-                                    std::span<double> out) const {
-  if (!trained_) throw std::logic_error("Gbdt: not trained");
-  check_batch_out(batch, out);
-  if (!kernel_.ready()) {  // over the uint16 cut budget: exact fallback
-    predict_proba_batch(batch, out);
-    return;
-  }
-  std::fill(out.begin(), out.end(), base_score_);
-  kernel_.accumulate(batch, out);
-  for (double& v : out) v = sigmoid(v);
-}
-
 void Gbdt::raw_score_batch(BatchView batch, std::span<double> out) const {
   if (!trained_) throw std::logic_error("Gbdt: not trained");
   check_batch_out(batch, out);
   std::fill(out.begin(), out.end(), base_score_);
-  if (batch.rows() == 0) return;
-  // Width is validated once per call (precomputed by build_flat); the
-  // traversal loop below carries no bounds check.
-  if (required_width_ > batch.cols())
-    throw std::invalid_argument("Gbdt: feature width mismatch");
-  // Tree-outer, lockstep block-inner over the flat mirrors: per-row leaf
-  // values accumulate in the exact tree order raw_score() uses, while up
-  // to kLanes independent node->value load chains stay in flight per
-  // block.  The sweep body has no data-dependent branch — the child is an
-  // indexed load (kid[0/1]), leaves self-loop, and the trip count is the
-  // tree's fixed depth (see DecisionTree::score_block).
-  constexpr std::size_t kLanes = 16;
-  const double* base = batch.col(0).data();
-  const std::size_t stride = batch.stride();
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    const Tree& tree = trees_[t];
-    if (tree[0].feature == Node::kLeaf) {  // stump round
-      for (double& v : out) v += tree[0].value;
-      continue;
-    }
-    const FlatNode* flat = flat_trees_[t].data();
-    const std::size_t depth = flat_depths_[t];
-    const Node* nodes = tree.data();
-    for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kLanes) {
-      const std::size_t count = std::min(kLanes, batch.rows() - r0);
-      std::uint32_t idx[kLanes];
-      for (std::size_t l = 0; l < count; ++l) idx[l] = 0;
-      if (count == kLanes) {
-        for (std::size_t step = 0; step < depth; ++step) {
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            const FlatNode& n = flat[idx[l]];
-            const double v = base[n.feature * stride + r0 + l];
-            idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-          }
-        }
-      } else {
-        for (std::size_t step = 0; step < depth; ++step) {
-          for (std::size_t l = 0; l < count; ++l) {
-            const FlatNode& n = flat[idx[l]];
-            const double v = base[n.feature * stride + r0 + l];
-            idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-          }
-        }
-      }
-      for (std::size_t l = 0; l < count; ++l) out[r0 + l] += nodes[idx[l]].value;
-    }
-  }
+  kernel_.accumulate(batch, out);
 }
 
 void Gbdt::predict_proba_batch(BatchView batch, std::span<double> out) const {
@@ -483,11 +347,12 @@ std::vector<std::uint8_t> Gbdt::serialize() const {
   w.write_string("GBDT");
   w.write_u8(kFormatVersion);
   w.write_f64(base_score_);
-  w.write_u64(trees_.size());
-  for (const Tree& tree : trees_) {
+  w.write_u64(kernel_.tree_count());
+  for (std::size_t t = 0; t < kernel_.tree_count(); ++t) {
+    const Tree tree = kernel_.tree(t);
     w.write_u64(tree.size());
-    for (const Node& n : tree) {
-      w.write_i64(n.feature);
+    for (const TreeNode& n : tree) {
+      w.write_i64(n.leaf() ? -1 : static_cast<std::int64_t>(n.feature));
       w.write_f64(n.threshold);
       w.write_i64(n.left);
       w.write_i64(n.right);
@@ -503,22 +368,33 @@ Gbdt Gbdt::deserialize(std::span<const std::uint8_t> bytes) {
     throw std::invalid_argument("Gbdt::deserialize: bad magic");
   if (r.read_u8() != kFormatVersion)
     throw std::invalid_argument("Gbdt::deserialize: bad version");
+  // -1 marks a leaf; anything else must fit the engine's uint32 indices
+  // (TreeNode::kLeaf stays reserved).  Child ranges are the engine's check.
+  const auto index = [](std::int64_t v) {
+    if (v < 0 || v >= static_cast<std::int64_t>(TreeNode::kLeaf))
+      throw std::invalid_argument("Gbdt::deserialize: index out of range");
+    return static_cast<std::uint32_t>(v);
+  };
   Gbdt model;
   model.base_score_ = r.read_f64();
-  const std::uint64_t n_trees = r.read_u64();
-  model.trees_.resize(static_cast<std::size_t>(n_trees));
-  for (auto& tree : model.trees_) {
-    tree.resize(static_cast<std::size_t>(r.read_u64()));
-    for (auto& n : tree) {
-      n.feature = static_cast<std::int32_t>(r.read_i64());
+  // Every tree carries at least its 8-byte node count; every node 40 bytes.
+  std::vector<Tree> trees(r.read_count(sizeof(std::uint64_t)));
+  for (Tree& tree : trees) {
+    tree.resize(r.read_count(5 * sizeof(std::uint64_t)));
+    for (TreeNode& n : tree) {
+      const std::int64_t feature = r.read_i64();
       n.threshold = r.read_f64();
-      n.left = static_cast<std::int32_t>(r.read_i64());
-      n.right = static_cast<std::int32_t>(r.read_i64());
+      const std::int64_t left = r.read_i64();
+      const std::int64_t right = r.read_i64();
       n.value = r.read_f64();
+      if (feature == -1) continue;
+      n.feature = index(feature);
+      n.left = index(left);
+      n.right = index(right);
     }
   }
+  model.kernel_.build(trees);
   model.trained_ = true;
-  model.build_flat();
   return model;
 }
 

@@ -27,8 +27,6 @@ void RandomForest::fit_stream(const DataSource& train) {
   const std::size_t n = cols.rows();
   if (n == 0) throw std::invalid_argument("RandomForest::fit: empty dataset");
 
-  trees_.clear();
-  trees_.reserve(config_.n_trees);
   util::Rng rng(config_.seed);
 
   DecisionTreeConfig tree_config = config_.tree;
@@ -54,44 +52,20 @@ void RandomForest::fit_stream(const DataSource& train) {
   // pre-drawn state, so scheduling order cannot affect the result.  The
   // shared ColumnAccess cache is once_flag-guarded, so concurrent tree
   // fits materialize each global column exactly once between them.
-  trees_.assign(config_.n_trees, DecisionTree(tree_config));
+  std::vector<Tree> trees(config_.n_trees);
   util::parallel_for("random_forest.fit", 0, config_.n_trees, 1,
                      [&](std::size_t t) {
                        DecisionTreeConfig cfg = tree_config;
                        cfg.seed = seeds[t];
-                       DecisionTree tree(cfg);
-                       tree.fit_weighted(cols, weights[t]);
-                       trees_[t] = std::move(tree);
+                       trees[t] = DecisionTree::grow(cols, weights[t], cfg);
                      });
-  build_kernel();
-}
-
-void RandomForest::build_kernel() {
-  std::vector<std::vector<KernelBuildNode>> forest;
-  forest.reserve(trees_.size());
-  for (const auto& tree : trees_) tree.append_kernel_tree(forest);
-  kernel_.build(forest);
-}
-
-void RandomForest::predict_proba_batch_fast(BatchView batch,
-                                            std::span<double> out) const {
-  if (!trained()) throw std::logic_error("RandomForest: not trained");
-  check_batch_out(batch, out);
-  if (!kernel_.ready()) {  // over the uint16 cut budget: exact fallback
-    predict_proba_batch(batch, out);
-    return;
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  kernel_.accumulate(batch, out);
-  const auto n = static_cast<double>(trees_.size());
-  for (double& v : out) v = v / n;
+  kernel_.build(trees);
 }
 
 double RandomForest::predict_proba(std::span<const double> features) const {
   if (!trained()) throw std::logic_error("RandomForest: not trained");
-  double total = 0.0;
-  for (const auto& tree : trees_) total += tree.predict_proba(features);
-  return total / static_cast<double>(trees_.size());
+  return kernel_.score_row(features, 0.0) /
+         static_cast<double>(kernel_.tree_count());
 }
 
 void RandomForest::predict_proba_batch(BatchView batch,
@@ -99,8 +73,8 @@ void RandomForest::predict_proba_batch(BatchView batch,
   if (!trained()) throw std::logic_error("RandomForest: not trained");
   check_batch_out(batch, out);
   std::fill(out.begin(), out.end(), 0.0);
-  for (const auto& tree : trees_) tree.accumulate_proba_batch(batch, out);
-  const auto n = static_cast<double>(trees_.size());
+  kernel_.accumulate(batch, out);
+  const auto n = static_cast<double>(kernel_.tree_count());
   for (double& v : out) v = v / n;
 }
 
@@ -108,8 +82,9 @@ std::vector<std::uint8_t> RandomForest::serialize() const {
   util::ByteWriter w;
   w.write_string("RF");
   w.write_u8(kFormatVersion);
-  w.write_u64(trees_.size());
-  for (const auto& tree : trees_) w.write_bytes(tree.serialize());
+  w.write_u64(kernel_.tree_count());
+  for (std::size_t t = 0; t < kernel_.tree_count(); ++t)
+    w.write_bytes(DecisionTree::write_tree(kernel_.tree(t)));
   return w.take();
 }
 
@@ -119,12 +94,11 @@ RandomForest RandomForest::deserialize(std::span<const std::uint8_t> bytes) {
     throw std::invalid_argument("RandomForest::deserialize: bad magic");
   if (r.read_u8() != kFormatVersion)
     throw std::invalid_argument("RandomForest::deserialize: bad version");
+  // Each member is a length-prefixed DT blob: at least its 8-byte length.
+  std::vector<Tree> trees(r.read_count(sizeof(std::uint64_t)));
+  for (Tree& tree : trees) tree = DecisionTree::read_tree(r.read_bytes());
   RandomForest forest;
-  const std::uint64_t count = r.read_u64();
-  forest.trees_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t t = 0; t < count; ++t)
-    forest.trees_.push_back(DecisionTree::deserialize(r.read_bytes()));
-  forest.build_kernel();  // derived artifact: never serialized
+  forest.kernel_.build(trees);
   return forest;
 }
 

@@ -27,42 +27,24 @@ class RandomForest final : public Classifier {
   /// monolithic fits build byte-identical forests.
   void fit_stream(const DataSource& train) override;
   double predict_proba(std::span<const double> features) const override;
-  /// Tree-outer, block-inner: each tree sweeps the whole batch with
-  /// 16-lane lockstep traversal; per-row tree sums accumulate in the same
-  /// order as the row path, so scores are bitwise identical.
+  /// All member trees in one engine: the cut-code sweep while the
+  /// thresholds fit its budget, else the threshold sweep.  Either way
+  /// bitwise identical to the row path.
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
-  /// Quantized ensemble kernel: all member trees fused into one contiguous
-  /// SoA arena sharing a single per-feature cut grid, so each batch tile
-  /// quantizes its values once and every tree replays integer compares.
-  /// Decisions are exact; the mean probability differs from the exact path
-  /// only by float leaf rounding (well inside any 0.5-threshold margin).
-  void predict_proba_batch_fast(BatchView batch,
-                                std::span<double> out) const override;
-  /// Fuse scaler + feature selection into the ensemble kernel (see
-  /// ForestKernel::fuse_preprocess).
-  void fuse_preprocess(std::span<const double> mean,
-                       std::span<const double> scale,
-                       std::span<const std::uint32_t> columns) {
-    kernel_.fuse_preprocess(mean, scale, columns);
-  }
   const ForestKernel& kernel() const { return kernel_; }
   std::string name() const override { return "RF"; }
   std::vector<std::uint8_t> serialize() const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
-  bool trained() const override { return !trees_.empty(); }
+  bool trained() const override { return !kernel_.empty(); }
 
   static RandomForest deserialize(std::span<const std::uint8_t> bytes);
 
-  std::size_t tree_count() const { return trees_.size(); }
+  std::size_t tree_count() const { return kernel_.tree_count(); }
 
  private:
-  /// Rebuild the fused ensemble kernel from trees_ (fit/deserialize).
-  void build_kernel();
-
   RandomForestConfig config_;
-  std::vector<DecisionTree> trees_;
-  ForestKernel kernel_;  // quantized mirror; rebuilt, never serialized
+  ForestKernel kernel_;
 };
 
 }  // namespace drlhmd::ml

@@ -1,9 +1,8 @@
 // Exact tail-latency histograms (HDR-style log-linear bucketing).
 //
-// The PR-1 obs::Histogram takes a mutex per observe() and reports
-// P²-*estimated* quantiles — good enough for coarse pipeline timing, not
-// for the p99/p999 serving numbers ROADMAP item 1 wants.  TailHistogram
-// fixes both properties:
+// The registry's one histogram type: every latency series (runtime
+// stages, serving, parallel chunks) records here.  Two properties make it
+// fit for p99/p999 serving numbers:
 //
 //   * Log-linear buckets: values are mapped to integer ticks and bucketed
 //     with `precision_bits` of linear resolution per power-of-two range

@@ -112,6 +112,16 @@ class ByteReader {
     return v;
   }
 
+  /// Element count written by ByteWriter::write_u64, checked before the
+  /// caller allocates: throws std::invalid_argument when `count` elements
+  /// of at least `min_elem_bytes` each cannot fit in the remaining input.
+  std::size_t read_count(std::size_t min_elem_bytes) {
+    const std::uint64_t n = read_u64();
+    if (min_elem_bytes != 0 && n > remaining() / min_elem_bytes)
+      throw std::invalid_argument("ByteReader: count exceeds remaining input");
+    return static_cast<std::size_t>(n);
+  }
+
   bool exhausted() const { return pos_ == bytes_.size(); }
   std::size_t remaining() const { return bytes_.size() - pos_; }
 

@@ -199,25 +199,25 @@ TEST_F(RuntimeFixture, StageLatencyHistogramsRecordWhenTelemetryEnabled) {
   obs::Telemetry::set_enabled(false);
 
   const obs::MetricsSnapshot snap = runtime.metrics().snapshot();
-  const auto* total = snap.find_histogram("drlhmd.runtime.stage_latency_us",
-                                          {{"stage", "total"}});
-  const auto* predictor = snap.find_histogram("drlhmd.runtime.stage_latency_us",
-                                              {{"stage", "predictor"}});
+  const auto* total =
+      snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "total"}});
+  const auto* predictor =
+      snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "predictor"}});
   ASSERT_NE(total, nullptr);
   ASSERT_NE(predictor, nullptr);
   EXPECT_EQ(total->data.count, n);
   EXPECT_EQ(predictor->data.count, n);
-  EXPECT_LE(total->data.p50, total->data.p95);
-  EXPECT_LE(total->data.p95, total->data.p99);
+  EXPECT_LE(total->data.p50, total->data.p90);
+  EXPECT_LE(total->data.p90, total->data.p99);
   EXPECT_GT(total->data.max, 0.0);
 
   // With telemetry off, further samples bump counters but not histograms.
   runtime.process(mix.row_copy(0));
   const auto after = runtime.metrics().snapshot();
-  EXPECT_EQ(after.find_histogram("drlhmd.runtime.stage_latency_us",
-                                 {{"stage", "total"}})
-                ->data.count,
-            n);
+  EXPECT_EQ(
+      after.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "total"}})
+          ->data.count,
+      n);
   EXPECT_EQ(after.find_counter("drlhmd.runtime.processed")->value, n + 1);
 }
 

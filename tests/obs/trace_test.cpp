@@ -123,7 +123,7 @@ TEST(TelemetryTest, PhaseSpanIsInertWhenDisabled) {
 }
 
 TEST(TelemetryTest, ScopedLatencyObservesMicroseconds) {
-  Histogram h({});
+  ShardedTailHistogram h;
   { ScopedLatency lat(&h); }
   { ScopedLatency noop(nullptr); }
   const auto snap = h.snapshot();

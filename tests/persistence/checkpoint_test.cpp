@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -51,12 +53,16 @@ class CheckpointSuite : public ::testing::Test {
   static void SetUpTestSuite() {
     framework_ = new Framework(small_config());
     framework_->run_all();
-    checkpoint_dir_ = new std::string(fresh_dir("ckpt-full"));
+    // ctest runs every TEST as its own process, and each one's
+    // SetUpTestSuite writes this checkpoint: the pid keeps them apart.
+    checkpoint_dir_ = new std::string(
+        fresh_dir("ckpt-full-" + std::to_string(::getpid())));
     framework_->save_checkpoint(*checkpoint_dir_);
   }
   static void TearDownTestSuite() {
     delete framework_;
     framework_ = nullptr;
+    std::filesystem::remove_all(*checkpoint_dir_);
     delete checkpoint_dir_;
     checkpoint_dir_ = nullptr;
   }

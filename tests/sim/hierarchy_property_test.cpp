@@ -16,6 +16,10 @@ struct Geometry {
   HierarchyConfig::Prefetch prefetch;
 };
 
+// Without a printer gtest lists the raw bytes of the parameter, including
+// the `name` pointer, so the listed test names would change from run to run.
+void PrintTo(const Geometry& g, std::ostream* os) { *os << g.name; }
+
 class GeometrySweep : public ::testing::TestWithParam<Geometry> {
  protected:
   HierarchyConfig config() const {
