@@ -74,6 +74,28 @@ double best_seconds(Fn&& fn, int reps = 9, int warmup = 1) {
   return best;
 }
 
+/// Best-of-N wall time of two passes timed alternately, so contention from
+/// the rest of the host (a parallel ctest, another tenant) lands on both
+/// sides of a speedup ratio alike instead of on whichever ran second.  One
+/// untimed pass of each warms up, then the recorders are reset as in
+/// best_seconds().
+template <typename A, typename B>
+std::pair<double, double> best_seconds_paired(A&& a, B&& b, int reps = 15) {
+  a();
+  b();
+  reset_telemetry_recorders();
+  double best_a = 1e300, best_b = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    util::Timer ta;
+    a();
+    best_a = std::min(best_a, ta.elapsed_seconds());
+    util::Timer tb;
+    b();
+    best_b = std::min(best_b, tb.elapsed_seconds());
+  }
+  return {best_a, best_b};
+}
+
 /// Unified BENCH_*.json writer (schema "drlhmd-bench/1"): machine-run
 /// context plus a flat list of named metrics, each carrying its unit and
 /// direction so tools/benchdiff can compare documents without guessing.

@@ -46,26 +46,7 @@ ml::Dataset blobs(std::size_t n_per_class, std::uint64_t seed) {
 }
 
 using bench::best_seconds;
-
-/// Best-of-N wall time of two passes timed alternately, so contention from
-/// the rest of the host (a parallel ctest, another tenant) lands on both
-/// sides of the speedup ratio alike instead of on whichever ran second.
-template <typename A, typename B>
-std::pair<double, double> best_seconds_paired(A&& a, B&& b, int reps = 15) {
-  a();
-  b();
-  bench::reset_telemetry_recorders();
-  double best_a = 1e300, best_b = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    util::Timer ta;
-    a();
-    best_a = std::min(best_a, ta.elapsed_seconds());
-    util::Timer tb;
-    b();
-    best_b = std::min(best_b, tb.elapsed_seconds());
-  }
-  return {best_a, best_b};
-}
+using bench::best_seconds_paired;
 
 }  // namespace
 

@@ -71,7 +71,6 @@ void ConvNetClassifier::fit_stream(const DataSource& train) {
           batch.at(i - start, c) = rows.at(row, c);
         labels[i - start] = rows.label(row);
       }
-      net_.zero_grad();
       const Matrix logits = net_.forward(batch);
       const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
       net_.backward(loss.grad);

@@ -85,9 +85,15 @@ Matrix Matrix::matmul(const Matrix& other) const {
 }
 
 Matrix Matrix::transpose_matmul(const Matrix& other) const {
+  Matrix out;
+  transpose_matmul_into(other, out);
+  return out;
+}
+
+void Matrix::transpose_matmul_into(const Matrix& other, Matrix& out) const {
   if (rows_ != other.rows_)
     throw std::invalid_argument("Matrix::transpose_matmul: row mismatch");
-  Matrix out(cols_, other.cols_);
+  out.reset_zero(cols_, other.cols_);
   for (std::size_t r = 0; r < rows_; ++r) {
     const double* arow = data_.data() + r * cols_;
     const double* brow = other.data_.data() + r * other.cols_;
@@ -98,7 +104,6 @@ Matrix Matrix::transpose_matmul(const Matrix& other) const {
       for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += a * brow[j];
     }
   }
-  return out;
 }
 
 Matrix Matrix::matmul_transpose(const Matrix& other) const {
@@ -175,10 +180,21 @@ Matrix& Matrix::add_row_broadcast(const Matrix& row_vec) {
 }
 
 Matrix Matrix::column_sums() const {
-  Matrix out(1, cols_);
+  Matrix out;
+  column_sums_into(out);
+  return out;
+}
+
+void Matrix::column_sums_into(Matrix& out) const {
+  out.reset_zero(1, cols_);
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) out.at(0, c) += at(r, c);
-  return out;
+}
+
+void Matrix::reset_zero(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, 0.0);
 }
 
 }  // namespace drlhmd::ml

@@ -53,6 +53,9 @@ class Matrix {
   Matrix matmul(const Matrix& other) const;
   /// this^T * other, without materializing the transpose.
   Matrix transpose_matmul(const Matrix& other) const;
+  /// transpose_matmul written into `out`: reshaped and zero-filled with +0
+  /// (reusing its storage), then accumulated exactly as transpose_matmul.
+  void transpose_matmul_into(const Matrix& other, Matrix& out) const;
   /// this * other^T.
   Matrix matmul_transpose(const Matrix& other) const;
   Matrix transposed() const;
@@ -72,6 +75,8 @@ class Matrix {
 
   /// Sum over rows -> 1 x cols.
   Matrix column_sums() const;
+  /// column_sums written into `out` (reshaped, zero-filled, storage reused).
+  void column_sums_into(Matrix& out) const;
 
   bool same_shape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
@@ -79,6 +84,8 @@ class Matrix {
 
  private:
   void require_same_shape(const Matrix& other, const char* op) const;
+  /// Reshape to rows x cols filled with +0, keeping the allocation.
+  void reset_zero(std::size_t rows, std::size_t cols);
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

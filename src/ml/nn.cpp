@@ -4,6 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "util/parallel.hpp"
 
 namespace drlhmd::ml::nn {
@@ -28,30 +32,131 @@ Matrix read_matrix(util::ByteReader& r) {
   return m;
 }
 
-void adam_update(Matrix& param, Matrix& grad, Matrix& m, Matrix& v, double lr,
-                 double beta1, double beta2, double eps, std::uint64_t t) {
+// Adam on one parameter tensor, in the reference operation order:
+//   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
+//   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+// A parameter whose gradient is 0 and whose first moment sits on one of
+// beta1's subnormal fixed points (|m| <= stuck_m) with |p| > exact_p would
+// come out of that formula with m and p unchanged (see AdamStep::at), yet
+// every operation on its subnormal m pays a microcode assist.  Such a lane
+// runs the formula with m replaced by +0 instead: its step is then exactly
+// 0, so p is unchanged as required, v is updated as usual, and the stuck m
+// is blended back.  Every other lane computes the reference formula.
+void adam_update(Matrix& param, const Matrix& grad, Matrix& m, Matrix& v,
+                 const AdamStep& s) {
   if (m.empty()) {
     m = Matrix(param.rows(), param.cols());
     v = Matrix(param.rows(), param.cols());
   }
-  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
-  const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
-  auto pm = param.flat();
-  auto gm = grad.flat();
-  auto mm = m.flat();
-  auto vm = v.flat();
-  for (std::size_t i = 0; i < pm.size(); ++i) {
-    mm[i] = beta1 * mm[i] + (1.0 - beta1) * gm[i];
-    vm[i] = beta2 * vm[i] + (1.0 - beta2) * gm[i] * gm[i];
-    const double m_hat = mm[i] / bc1;
-    const double v_hat = vm[i] / bc2;
-    pm[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+  double* pm = param.flat().data();
+  const double* gm = grad.flat().data();
+  double* mm = m.flat().data();
+  double* vm = v.flat().data();
+  const std::size_t n = param.size();
+  const double one_minus_beta1 = 1.0 - s.beta1;
+  const double one_minus_beta2 = 1.0 - s.beta2;
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128d beta1 = _mm_set1_pd(s.beta1);
+  const __m128d beta2 = _mm_set1_pd(s.beta2);
+  const __m128d omb1 = _mm_set1_pd(one_minus_beta1);
+  const __m128d omb2 = _mm_set1_pd(one_minus_beta2);
+  const __m128d bc1 = _mm_set1_pd(s.bc1);
+  const __m128d bc2 = _mm_set1_pd(s.bc2);
+  const __m128d lr = _mm_set1_pd(s.lr);
+  const __m128d eps = _mm_set1_pd(s.eps);
+  const __m128d stuck_m = _mm_set1_pd(s.stuck_m);
+  const __m128d exact_p = _mm_set1_pd(s.exact_p);
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d sign = _mm_set1_pd(-0.0);
+  for (; i + 2 <= n; i += 2) {
+    const __m128d p = _mm_loadu_pd(pm + i);
+    const __m128d g = _mm_loadu_pd(gm + i);
+    const __m128d m_old = _mm_loadu_pd(mm + i);
+    const __m128d v_old = _mm_loadu_pd(vm + i);
+    const __m128d stuck = _mm_and_pd(
+        _mm_and_pd(_mm_cmpeq_pd(g, zero), _mm_cmpneq_pd(m_old, zero)),
+        _mm_and_pd(_mm_cmple_pd(_mm_andnot_pd(sign, m_old), stuck_m),
+                   _mm_cmpgt_pd(_mm_andnot_pd(sign, p), exact_p)));
+    const __m128d m_in = _mm_andnot_pd(stuck, m_old);
+    const __m128d m_new =
+        _mm_add_pd(_mm_mul_pd(beta1, m_in), _mm_mul_pd(omb1, g));
+    const __m128d v_new = _mm_add_pd(_mm_mul_pd(beta2, v_old),
+                                     _mm_mul_pd(_mm_mul_pd(omb2, g), g));
+    const __m128d m_hat = _mm_div_pd(m_new, bc1);
+    const __m128d v_hat = _mm_div_pd(v_new, bc2);
+    const __m128d step = _mm_div_pd(_mm_mul_pd(lr, m_hat),
+                                    _mm_add_pd(_mm_sqrt_pd(v_hat), eps));
+    _mm_storeu_pd(pm + i, _mm_sub_pd(p, step));
+    _mm_storeu_pd(mm + i, _mm_or_pd(_mm_and_pd(stuck, m_old),
+                                    _mm_andnot_pd(stuck, m_new)));
+    _mm_storeu_pd(vm + i, v_new);
   }
+#endif
+  for (; i < n; ++i) {
+    const double g = gm[i];
+    const bool stuck = g == 0.0 && mm[i] != 0.0 &&
+                       std::fabs(mm[i]) <= s.stuck_m &&
+                       std::fabs(pm[i]) > s.exact_p;
+    const double m_new = s.beta1 * (stuck ? 0.0 : mm[i]) + one_minus_beta1 * g;
+    vm[i] = s.beta2 * vm[i] + one_minus_beta2 * g * g;
+    const double m_hat = m_new / s.bc1;
+    const double v_hat = vm[i] / s.bc2;
+    pm[i] -= s.lr * m_hat / (std::sqrt(v_hat) + s.eps);
+    if (!stuck) mm[i] = m_new;
+  }
+}
+
+// Largest k * 2^-1074 that beta1 * m maps to itself; 0 when there is none.
+// In the subnormal range a product is rounded to a multiple of 2^-1074, so
+// k is a fixed point iff round-half-even(beta1 * k) == k, i.e.
+// k * (1 - beta1) < 1/2 or a tie that lands on even k.  That holds for a
+// prefix {1..K} of the integers, so scanning down from just above the
+// analytic bound with the real multiply finds K.  The cap keeps k * 2^-1074
+// subnormal (any prefix of the set is still exact).
+double stuck_moment_bound(double beta1) {
+  if (!(beta1 > 0.0 && beta1 < 1.0)) return 0.0;
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 40;
+  const double bound = 0.5 / (1.0 - beta1);
+  std::uint64_t k = kCap;
+  if (bound < static_cast<double>(kCap))
+    k = static_cast<std::uint64_t>(bound) + 2;
+  for (; k > 0; --k) {
+    const double m = static_cast<double>(k) * kDenormMin;
+    if (beta1 * m == m) break;
+  }
+  return static_cast<double>(k) * kDenormMin;
 }
 
 }  // namespace
 
-void Layer::adam_step(double, double, double, double, std::uint64_t) {}
+AdamStep AdamStep::at(double lr, double beta1, double beta2, double eps,
+                      std::uint64_t t) {
+  AdamStep s;
+  s.lr = lr;
+  s.beta1 = beta1;
+  s.beta2 = beta2;
+  s.eps = eps;
+  s.bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+  s.bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+  s.stuck_m = stuck_moment_bound(beta1);
+  // With eps > 0 and 0 <= beta2 < 1, v >= 0 and the denominator
+  // sqrt(v/bc2) + eps is at least eps.  Rounded multiply and divide are
+  // monotone, so no stuck moment's step exceeds max_step, the same formula
+  // evaluated at |m| = stuck_m with the denominator at eps.  A step below
+  // |p| * 2^-54 is under half the gap to either neighbour of p, so p - step
+  // rounds back to p.  Scaling by 2^54 is exact (or overflows to inf, which
+  // disables the fast path, as does a NaN).
+  if (s.stuck_m > 0.0 && eps > 0.0 && s.bc1 > 0.0 && beta2 >= 0.0 &&
+      beta2 < 1.0) {
+    const double max_step = std::fabs(lr) * (s.stuck_m / s.bc1) / eps;
+    s.exact_p = max_step * 0x1p54;
+  }
+  return s;
+}
+
+void Layer::adam_step(const AdamStep&) {}
 
 // ---------------------------------------------------------------- Dense --
 
@@ -117,20 +222,14 @@ void Dense::infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
 }
 
 Matrix Dense::backward(const Matrix& grad_output) {
-  grad_w_ += input_cache_.transpose_matmul(grad_output);
-  grad_b_ += grad_output.column_sums();
+  input_cache_.transpose_matmul_into(grad_output, grad_w_);
+  grad_output.column_sums_into(grad_b_);
   return grad_output.matmul_transpose(w_);
 }
 
-void Dense::zero_grad() {
-  grad_w_ *= 0.0;
-  grad_b_ *= 0.0;
-}
-
-void Dense::adam_step(double lr, double beta1, double beta2, double eps,
-                      std::uint64_t t) {
-  adam_update(w_, grad_w_, m_w_, v_w_, lr, beta1, beta2, eps, t);
-  adam_update(b_, grad_b_, m_b_, v_b_, lr, beta1, beta2, eps, t);
+void Dense::adam_step(const AdamStep& step) {
+  adam_update(w_, grad_w_, m_w_, v_w_, step);
+  adam_update(b_, grad_b_, m_b_, v_b_, step);
 }
 
 std::size_t Dense::param_count() const { return w_.size() + b_.size(); }
@@ -141,6 +240,10 @@ std::unique_ptr<Layer> Dense::clone() const {
   copy->b_ = b_;
   copy->grad_w_ = Matrix(w_.rows(), w_.cols());
   copy->grad_b_ = Matrix(b_.rows(), b_.cols());
+  copy->m_w_ = m_w_;
+  copy->v_w_ = v_w_;
+  copy->m_b_ = m_b_;
+  copy->v_b_ = v_b_;
   return copy;
 }
 
@@ -270,6 +373,8 @@ Matrix Conv1D::backward(const Matrix& grad_output) {
   if (grad_output.cols() != out_channels_ * out_len ||
       grad_output.rows() != input_cache_.rows())
     throw std::invalid_argument("Conv1D::backward: shape mismatch");
+  std::fill(grad_w_.flat().begin(), grad_w_.flat().end(), 0.0);
+  std::fill(grad_b_.flat().begin(), grad_b_.flat().end(), 0.0);
   Matrix grad_in(input_cache_.rows(), in_channels_ * length_);
   for (std::size_t n = 0; n < grad_output.rows(); ++n) {
     for (std::size_t o = 0; o < out_channels_; ++o) {
@@ -290,15 +395,9 @@ Matrix Conv1D::backward(const Matrix& grad_output) {
   return grad_in;
 }
 
-void Conv1D::zero_grad() {
-  grad_w_ *= 0.0;
-  grad_b_ *= 0.0;
-}
-
-void Conv1D::adam_step(double lr, double beta1, double beta2, double eps,
-                       std::uint64_t t) {
-  adam_update(w_, grad_w_, m_w_, v_w_, lr, beta1, beta2, eps, t);
-  adam_update(b_, grad_b_, m_b_, v_b_, lr, beta1, beta2, eps, t);
+void Conv1D::adam_step(const AdamStep& step) {
+  adam_update(w_, grad_w_, m_w_, v_w_, step);
+  adam_update(b_, grad_b_, m_b_, v_b_, step);
 }
 
 std::size_t Conv1D::param_count() const { return w_.size() + b_.size(); }
@@ -313,6 +412,10 @@ std::unique_ptr<Layer> Conv1D::clone() const {
   copy->b_ = b_;
   copy->grad_w_ = Matrix(w_.rows(), w_.cols());
   copy->grad_b_ = Matrix(b_.rows(), b_.cols());
+  copy->m_w_ = m_w_;
+  copy->v_w_ = v_w_;
+  copy->m_b_ = m_b_;
+  copy->v_b_ = v_b_;
   return copy;
 }
 
@@ -411,13 +514,9 @@ Matrix Network::backward(const Matrix& grad_output) {
   return g;
 }
 
-void Network::zero_grad() {
-  for (auto& layer : layers_) layer->zero_grad();
-}
-
 void Network::adam_step(double lr, double beta1, double beta2, double eps) {
-  ++step_;
-  for (auto& layer : layers_) layer->adam_step(lr, beta1, beta2, eps, step_);
+  const AdamStep step = AdamStep::at(lr, beta1, beta2, eps, ++step_);
+  for (auto& layer : layers_) layer->adam_step(step);
 }
 
 std::size_t Network::param_count() const {

@@ -5,10 +5,13 @@
 //   * rl::A2C              (actor and critic, 4 hidden layers each).
 //
 // Layers operate on row-major Matrix batches; backward() consumes dLoss/dOut
-// and returns dLoss/dIn while accumulating parameter gradients internally.
+// and returns dLoss/dIn while overwriting the layer's parameter gradients:
+// each backward() writes the batch's gradient afresh, so one backward()
+// pairs with one adam_step() and no zeroing pass is needed in between.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +21,24 @@
 #include "util/serialize.hpp"
 
 namespace drlhmd::ml::nn {
+
+/// One Adam update: the hyper-parameters plus the per-step constants that
+/// Network::adam_step derives once for all of its layers.
+struct AdamStep {
+  double lr = 0.0, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  double bc1 = 1.0, bc2 = 1.0;  // bias corrections 1 - beta^t
+  /// Largest |m| whose decay beta1 * m rounds back to m: the subnormal
+  /// fixed points k * 2^-1074 a dead unit's first moment sticks at
+  /// (5 * 2^-1074 for beta1 = 0.9).  0 when beta1 has none.
+  double stuck_m = 0.0;
+  /// |p| above which the step a stuck moment produces is below half an ulp
+  /// of p, so the update provably leaves p unchanged.
+  double exact_p = std::numeric_limits<double>::infinity();
+
+  /// Constants for the 1-based step `t`.
+  static AdamStep at(double lr, double beta1, double beta2, double eps,
+                     std::uint64_t t);
+};
 
 class Layer {
  public:
@@ -38,12 +59,11 @@ class Layer {
   /// replace the Matrix path without perturbing results.
   virtual void infer_rows(const double* in, std::size_t rows,
                           std::size_t in_cols, double* out) const = 0;
+  /// Writes the parameter gradients of this batch (never accumulates).
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
-  virtual void zero_grad() {}
-  /// Adam update with bias correction; `t` is the 1-based step counter.
-  virtual void adam_step(double lr, double beta1, double beta2, double eps,
-                         std::uint64_t t);
+  /// Adam update with bias correction from the last backward()'s gradients.
+  virtual void adam_step(const AdamStep& step);
   virtual std::size_t param_count() const { return 0; }
 
   virtual std::string kind() const = 0;
@@ -62,9 +82,7 @@ class Dense final : public Layer {
   void infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                   double* out) const override;
   Matrix backward(const Matrix& grad_output) override;
-  void zero_grad() override;
-  void adam_step(double lr, double beta1, double beta2, double eps,
-                 std::uint64_t t) override;
+  void adam_step(const AdamStep& step) override;
   std::size_t param_count() const override;
   std::string kind() const override { return "dense"; }
   std::unique_ptr<Layer> clone() const override;
@@ -116,9 +134,7 @@ class Conv1D final : public Layer {
   void infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                   double* out) const override;
   Matrix backward(const Matrix& grad_output) override;
-  void zero_grad() override;
-  void adam_step(double lr, double beta1, double beta2, double eps,
-                 std::uint64_t t) override;
+  void adam_step(const AdamStep& step) override;
   std::size_t param_count() const override;
   std::string kind() const override { return "conv1d"; }
   std::unique_ptr<Layer> clone() const override;
@@ -160,14 +176,15 @@ class Network {
   /// returning).  Bitwise-identical to infer().
   void infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                   double* out, util::Arena& arena) const;
-  /// Backprop from dLoss/dOutput; returns dLoss/dInput.
+  /// Backprop from dLoss/dOutput; returns dLoss/dInput.  Overwrites every
+  /// layer's parameter gradients with this batch's.
   Matrix backward(const Matrix& grad_output);
-  void zero_grad();
   void adam_step(double lr, double beta1 = 0.9, double beta2 = 0.999,
                  double eps = 1e-8);
 
   std::size_t param_count() const;
   std::size_t layer_count() const { return layers_.size(); }
+  const Layer& layer(std::size_t i) const { return *layers_.at(i); }
   bool empty() const { return layers_.empty(); }
 
   std::vector<std::uint8_t> serialize() const;

@@ -78,7 +78,6 @@ void A2C::update(std::span<const double> observation, std::size_t action,
 
   // Critic: V(s) toward the TD target (MSE, per the paper).
   const double td_target = reward + (done ? 0.0 : config_.gamma * next_value);
-  critic_.zero_grad();
   const Matrix v = critic_.forward(obs);
   Matrix target(1, 1);
   target.at(0, 0) = td_target;
@@ -89,7 +88,6 @@ void A2C::update(std::span<const double> observation, std::size_t action,
   const double advantage = td_target - v.at(0, 0);
 
   // Actor: policy gradient with entropy bonus.
-  actor_.zero_grad();
   const Matrix logits = actor_.forward(obs);
   const Matrix probs = ml::nn::softmax(logits);
   // d/dlogits of [-log pi(a|s) * A - beta * H(pi)]:

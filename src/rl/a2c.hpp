@@ -60,6 +60,8 @@ class A2C {
   std::size_t observation_size() const { return obs_size_; }
   std::size_t action_count() const { return n_actions_; }
   const A2CConfig& config() const { return config_; }
+  const ml::nn::Network& actor() const { return actor_; }
+  const ml::nn::Network& critic() const { return critic_; }
 
   std::vector<std::uint8_t> serialize() const;
   static A2C deserialize(std::span<const std::uint8_t> bytes);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 namespace drlhmd::ml::nn {
 namespace {
@@ -202,7 +204,6 @@ TEST(NetworkTest, TrainingReducesLoss) {
   const std::vector<int> y = {0, 1, 1, 0};
   double first_loss = 0.0, last_loss = 0.0;
   for (int epoch = 0; epoch < 400; ++epoch) {
-    net.zero_grad();
     const Matrix logits = net.forward(x);
     const LossResult loss = softmax_cross_entropy(logits, y);
     if (epoch == 0) first_loss = loss.loss;
@@ -222,7 +223,6 @@ TEST(NetworkTest, CopyIsIndependent) {
   // Train a; b must not change.
   const std::vector<int> y = {1};
   for (int i = 0; i < 50; ++i) {
-    a.zero_grad();
     const LossResult loss = softmax_cross_entropy(a.forward(x), y);
     a.backward(loss.grad);
     a.adam_step(0.05);
@@ -230,6 +230,39 @@ TEST(NetworkTest, CopyIsIndependent) {
   const Matrix after = b.forward(x);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_EQ(before.flat()[i], after.flat()[i]);
+}
+
+TEST(NetworkTest, CopyContinuesTrainingBitwise) {
+  util::Rng rng(13);
+  Network a;
+  a.add(std::make_unique<Conv1D>(1, 2, 4, 2, rng));
+  a.add(std::make_unique<Relu>());
+  a.add(std::make_unique<Dense>(6, 5, rng));
+  a.add(std::make_unique<Relu>());
+  a.add(std::make_unique<Dense>(5, 2, rng));
+  util::Rng data(14);
+  std::vector<Matrix> xs;
+  std::vector<std::vector<int>> ys;
+  for (int i = 0; i < 40; ++i) {
+    Matrix x(3, 4);
+    for (double& v : x.flat()) v = data.normal();
+    xs.push_back(x);
+    ys.push_back({static_cast<int>(i % 2), static_cast<int>((i / 2) % 2), 1});
+  }
+  const auto train = [&](Network& net, int i) {
+    const LossResult loss = softmax_cross_entropy(net.forward(xs[i]), ys[i]);
+    net.backward(loss.grad);
+    net.adam_step(0.01);
+  };
+  for (int i = 0; i < 20; ++i) train(a, i);
+  // The copy carries the Adam moments and step count, so both continue
+  // identically.
+  Network b = a;
+  for (int i = 20; i < 40; ++i) {
+    train(a, i);
+    train(b, i);
+  }
+  EXPECT_EQ(a.serialize(), b.serialize());
 }
 
 TEST(NetworkTest, SerializeRoundTripPreservesOutputs) {
