@@ -1,8 +1,9 @@
 #include "core/runtime.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
-#include "ml/feature_matrix.hpp"
 #include "obs/log.hpp"
 #include "obs/telemetry.hpp"
 #include "util/arena.hpp"
@@ -46,9 +47,10 @@ DetectionRuntime::DetectionRuntime(Framework& framework, RuntimeConfig config)
                              {{"stage", "detector"}});
   tail_integrity_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
                               {{"stage", "integrity"}});
+  tail_retrain_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
+                            {{"stage", "retrain"}});
   tail_total_ =
       &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg, {{"stage", "total"}});
-  tail_batch_ = &reg.tail("drlhmd.runtime.batch_tail_us", tail_cfg);
 }
 
 RuntimeStats DetectionRuntime::stats() const {
@@ -64,40 +66,10 @@ RuntimeStats DetectionRuntime::stats() const {
 }
 
 TrafficVerdict DetectionRuntime::process(std::span<const double> features) {
-  const bool timed = obs::Telemetry::enabled();
-  const obs::ScopedLatency total(timed ? tail_total_ : nullptr);
-  processed_->inc();
-
-  // Line of defense 1: the DRL predictor's feedback reward.
-  bool flagged;
-  {
-    const obs::ScopedLatency t(timed ? tail_predictor_ : nullptr);
-    flagged = framework_.predictor().is_adversarial(features);
-  }
-  if (flagged) {
-    adversarial_->inc();
-    // Adversarial vectors are malware masquerading as benign: label and
-    // quarantine them for the next adversarial-training round.
-    quarantine_.push(features, 1);
-    quarantine_gauge_->set(static_cast<double>(quarantine_.size()));
-    maybe_retrain();
-    maybe_validate_integrity();
-    return TrafficVerdict::kAdversarialMalware;
-  }
-
-  // Line of defense 2: the constraint-aware controller's scheduled model.
-  int prediction;
-  {
-    const obs::ScopedLatency t(timed ? tail_detector_ : nullptr);
-    prediction = framework_.controller(config_.policy).predict(features);
-  }
-  if (prediction == 1) {
-    malware_->inc();
-  } else {
-    benign_->inc();
-  }
-  maybe_validate_integrity();
-  return prediction == 1 ? TrafficVerdict::kMalware : TrafficVerdict::kBenign;
+  TrafficVerdict verdict;
+  process_batch(ml::BatchView(features.data(), 1, features.size(), 1),
+                {&verdict, 1});
+  return verdict;
 }
 
 void DetectionRuntime::maybe_retrain() {
@@ -105,7 +77,11 @@ void DetectionRuntime::maybe_retrain() {
   if (quarantine_.size() < config_.retrain_threshold) return;
   DRLHMD_LOG(Info) << "adaptive retrain: folding " << quarantine_.size()
                    << " quarantined adversarial samples into the merged DB";
-  framework_.incremental_defense_update(quarantine_);
+  {
+    const obs::ScopedLatency t(obs::Telemetry::enabled() ? tail_retrain_
+                                                         : nullptr);
+    framework_.incremental_defense_update(quarantine_);
+  }
   quarantine_ = ml::Dataset{};
   quarantine_gauge_->set(0.0);
   retrains_->inc();
@@ -142,20 +118,25 @@ std::vector<TrafficVerdict> DetectionRuntime::process_batch(ml::BatchView batch)
   return verdicts;
 }
 
-void DetectionRuntime::process_batch(ml::BatchView batch,
-                                     std::span<TrafficVerdict> out) {
+std::uint64_t DetectionRuntime::process_batch(ml::BatchView batch,
+                                              std::span<TrafficVerdict> out) {
   if (out.size() != batch.rows())
     throw std::invalid_argument(
         "DetectionRuntime::process_batch: out size mismatch");
-  // Whole-batch wall time into the exact tail histogram (the per-stage
-  // tails cannot be recorded inside the parallel scoring region).
-  const obs::ScopedLatency batch_timer(
-      obs::Telemetry::enabled() ? tail_batch_ : nullptr);
+  using Clock = std::chrono::steady_clock;
+  const bool timed = obs::Telemetry::enabled();
+  const obs::ScopedLatency total(timed ? tail_total_ : nullptr);
   // All scoring scratch is arena-backed: a warmed-up runtime allocates
   // nothing on this path (the quarantine push below only allocates while
   // its ring grows toward the retrain threshold).
   util::ArenaScope scope(util::scratch_arena());
   auto row = scope.alloc<double>(batch.cols());
+  const std::uint64_t retrains_at_entry = retrains_->value();
+  double predictor_us = 0.0;
+  double detector_us = 0.0;
+  const auto elapsed_us = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+  };
   std::size_t start = 0;
   while (start < batch.rows()) {
     // Speculatively score every remaining row against the currently
@@ -172,27 +153,42 @@ void DetectionRuntime::process_batch(ml::BatchView batch,
     const ml::BatchView remaining = batch.rows_slice(start, pending);
     auto flagged = scope.alloc<std::uint8_t>(pending);
     auto predictions = scope.alloc<int>(pending);
+    // Per-chunk stage durations, slot = chunk index (a region has at most
+    // `pending` chunks); summed on this thread once the region is done.
+    auto chunk_predictor_us = scope.alloc<double>(timed ? pending : 0);
+    auto chunk_detector_us = scope.alloc<double>(timed ? pending : 0);
+    std::fill(chunk_predictor_us.begin(), chunk_predictor_us.end(), 0.0);
+    std::fill(chunk_detector_us.begin(), chunk_detector_us.end(), 0.0);
     util::parallel_pipeline(
         "runtime.batch_score", std::size_t{0}, pending, 0,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
+        [&](std::size_t c, std::size_t begin, std::size_t end) {
+          const auto t0 = timed ? Clock::now() : Clock::time_point{};
           predictor.is_adversarial_batch(
               remaining.rows_slice(begin, end - begin),
               std::span<std::uint8_t>(flagged.data() + begin, end - begin));
+          if (timed) chunk_predictor_us[c] = elapsed_us(t0);
         },
-        [&](std::size_t, std::size_t begin, std::size_t end) {
+        [&](std::size_t c, std::size_t begin, std::size_t end) {
+          const auto t0 = timed ? Clock::now() : Clock::time_point{};
           controller.predict_batch(
               remaining.rows_slice(begin, end - begin),
               std::span<int>(predictions.data() + begin, end - begin));
+          if (timed) chunk_detector_us[c] = elapsed_us(t0);
         });
+    for (const double us : chunk_predictor_us) predictor_us += us;
+    for (const double us : chunk_detector_us) detector_us += us;
 
-    // Serial commit in row order: exactly process()'s side effects.  When
-    // a retrain swaps the deployed models, the speculative scores for the
-    // rows after it are stale — break out and re-score the remainder.
+    // Serial commit in row order.  When a retrain swaps the deployed
+    // models, the speculative scores for the rows after it are stale —
+    // break out and re-score the remainder.
     const std::uint64_t retrains_before = retrains_->value();
     std::size_t i = start;
     for (; i < batch.rows(); ++i) {
       processed_->inc();
       if (flagged[i - start] != 0) {
+        // Line of defense 1: the DRL predictor's feedback reward.
+        // Adversarial vectors are malware masquerading as benign: label
+        // and quarantine them for the next adversarial-training round.
         adversarial_->inc();
         batch.gather_row(i, {row.data(), row.size()});
         quarantine_.push({row.data(), row.size()}, 1);
@@ -205,6 +201,8 @@ void DetectionRuntime::process_batch(ml::BatchView batch,
           break;
         }
       } else {
+        // Line of defense 2: the constraint-aware controller's scheduled
+        // model.
         const int prediction = predictions[i - start];
         if (prediction == 1) {
           malware_->inc();
@@ -218,47 +216,16 @@ void DetectionRuntime::process_batch(ml::BatchView batch,
     }
     start = i;
   }
-}
-
-BatchOutcome DetectionRuntime::process_batch_tally(
-    ml::BatchView batch, std::span<TrafficVerdict> out) {
-  const std::uint64_t benign0 = benign_->value();
-  const std::uint64_t malware0 = malware_->value();
-  const std::uint64_t adversarial0 = adversarial_->value();
-  const std::uint64_t retrains0 = retrains_->value();
-  process_batch(batch, out);
-  BatchOutcome outcome;
-  outcome.benign = benign_->value() - benign0;
-  outcome.malware = malware_->value() - malware0;
-  outcome.adversarial = adversarial_->value() - adversarial0;
-  outcome.retrains = retrains_->value() - retrains0;
-  return outcome;
-}
-
-std::vector<TrafficVerdict> DetectionRuntime::process_batch(
-    std::span<const std::vector<double>> rows) {
-  ml::FeatureMatrix packed;
-  packed.reserve_rows(rows.size());
-  for (const auto& r : rows) packed.push_row(r);
-  return process_batch(packed.view());
+  if (timed) {
+    tail_predictor_->observe(predictor_us);
+    tail_detector_->observe(detector_us);
+  }
+  return retrains_->value() - retrains_at_entry;
 }
 
 ml::MetricReport DetectionRuntime::process_stream(const ml::Dataset& stream) {
   stream.validate();
-  std::vector<TrafficVerdict> verdicts;
-  if (obs::Telemetry::enabled()) {
-    // Per-row path so the stage latency tails see every sample;
-    // the batch path cannot time individual stages inside its parallel
-    // scoring region.
-    verdicts.reserve(stream.size());
-    std::vector<double> row(stream.num_features());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      stream.gather_row(i, row);
-      verdicts.push_back(process(row));
-    }
-  } else {
-    verdicts = process_batch(stream.X.view());
-  }
+  const std::vector<TrafficVerdict> verdicts = process_batch(stream.X.view());
   std::vector<int> predictions;
   predictions.reserve(verdicts.size());
   for (const TrafficVerdict verdict : verdicts)

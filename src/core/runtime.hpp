@@ -12,11 +12,12 @@
 //      and the metric monitor re-assesses on the reserved validation set
 //      (Section 2.7); alarms are raised on deviation.
 //
-// Every counter lives in an obs::MetricsRegistry (`drlhmd.runtime.*`), so
-// hmdctl, the benches, and RuntimeStats all read one source of truth.
-// Per-stage latency tails (drlhmd.runtime.stage_tail_us{stage=predictor|
-// detector|integrity|total}) are recorded only while obs::Telemetry is
-// enabled.
+// Every entry point (process, process_stream) is a process_batch call, so
+// there is one scoring and commit path.  Every counter lives in an
+// obs::MetricsRegistry (`drlhmd.runtime.*`), so hmdctl, the benches, and
+// RuntimeStats all read one source of truth.  Per-stage latency tails
+// (drlhmd.runtime.stage_tail_us{stage=predictor|detector|integrity|retrain|
+// total}) are recorded only while obs::Telemetry is enabled.
 #pragma once
 
 #include "core/framework.hpp"
@@ -36,15 +37,6 @@ enum class TrafficVerdict : std::uint8_t {
 };
 
 std::string verdict_name(TrafficVerdict verdict);
-
-/// Row tally of one batch entry (what the serving tier folds into its
-/// per-session and drlhmd.serve.* accounting).
-struct BatchOutcome {
-  std::uint64_t benign = 0;
-  std::uint64_t malware = 0;
-  std::uint64_t adversarial = 0;
-  std::uint64_t retrains = 0;  // adaptive retrains fired inside the batch
-};
 
 struct RuntimeConfig {
   /// Fresh quarantined adversarial samples that trigger a defense retrain
@@ -80,44 +72,36 @@ class DetectionRuntime {
  public:
   DetectionRuntime(Framework& framework, RuntimeConfig config = {});
 
-  /// Process one HPC sample (engineered, scaled feature space).
+  /// Process one HPC sample (engineered, scaled feature space): a
+  /// process_batch call over a zero-copy 1-row view.
   TrafficVerdict process(std::span<const double> features);
 
   /// Process a columnar batch of samples: exactly the verdicts, counters,
-  /// quarantine contents, and retrain/integrity side effects that calling
-  /// process() on each row in order would produce.  Rows are scored against
-  /// the frozen deployed models through the detectors' vectorized batch
-  /// paths as a two-stage pipeline ("runtime.batch_score" region: predictor
-  /// feedback rewards, then detector routing, fused per chunk so the stages
-  /// overlap across chunks); side effects then commit serially in row
-  /// order.  If an adaptive retrain fires mid-batch, the remaining rows are
-  /// re-scored against the updated models via a zero-copy row slice.
-  /// Per-stage latency histograms are not recorded on this path — the
-  /// parallel region's span carries the batch scoring time instead.
+  /// quarantine contents, and retrain/integrity side effects of processing
+  /// each row in order.  Rows are scored against the frozen deployed models
+  /// through the detectors' vectorized batch paths as a two-stage pipeline
+  /// ("runtime.batch_score" region: predictor feedback rewards, then
+  /// detector routing, fused per chunk so the stages overlap across
+  /// chunks); side effects then commit serially in row order.  If an
+  /// adaptive retrain fires mid-batch, the remaining rows are re-scored
+  /// against the updated models via a zero-copy row slice.
+  ///
+  /// While telemetry is enabled, each call observes stage_tail_us once per
+  /// stage: predictor and detector are the CPU time summed over the call's
+  /// chunks (and re-score rounds), total is the call's wall time.
   std::vector<TrafficVerdict> process_batch(ml::BatchView batch);
   /// Allocation-free variant: verdicts land in caller-owned storage
   /// (out.size() == batch.rows()) and all scoring scratch comes from the
   /// per-thread arenas, so a warmed-up runtime serving already-quarantined
-  /// traffic performs zero heap allocations per call (asserted by the
-  /// `alloc`-labeled ctest).
-  void process_batch(ml::BatchView batch, std::span<TrafficVerdict> out);
-  /// Compatibility adapter: packs the rows into a FeatureMatrix (one copy)
-  /// and runs the columnar path.
-  std::vector<TrafficVerdict> process_batch(
-      std::span<const std::vector<double>> rows);
-  /// Allocation-free batch entry that also reports what happened: verdict
-  /// counts and whether an adaptive retrain fired mid-batch.  Computed as
-  /// registry counter deltas around process_batch, which is exact as long
-  /// as the caller serializes batch entry (the serving drain loop scores
-  /// under one lock, so this holds by construction).
-  BatchOutcome process_batch_tally(ml::BatchView batch,
-                                   std::span<TrafficVerdict> out);
+  /// traffic performs zero heap allocations per call, stage tails included
+  /// (asserted by the `alloc`-labeled ctest).  Returns the number of
+  /// adaptive retrains fired inside the call.
+  std::uint64_t process_batch(ml::BatchView batch,
+                              std::span<TrafficVerdict> out);
 
-  /// Process a labeled stream; returns detection metrics where adversarial
-  /// verdicts count as "malware" (they are malware by construction).  Uses
-  /// process_batch() normally; when telemetry is enabled it walks the rows
-  /// through process() instead so the per-stage latency histograms see
-  /// every sample.
+  /// Process a labeled stream through process_batch; returns detection
+  /// metrics where adversarial verdicts count as "malware" (they are
+  /// malware by construction).
   ml::MetricReport process_stream(const ml::Dataset& stream);
 
   /// Force an integrity validation pass now.
@@ -150,13 +134,12 @@ class DetectionRuntime {
   obs::Counter* integrity_alarms_;
   obs::Gauge* quarantine_gauge_;
   obs::Gauge* retrain_gauge_;
-  // drlhmd.runtime.stage_tail_us{stage=} per stage, and per-batch wall
-  // time in drlhmd.runtime.batch_tail_us.
+  // drlhmd.runtime.stage_tail_us{stage=} per stage.
   obs::ShardedTailHistogram* tail_predictor_;
   obs::ShardedTailHistogram* tail_detector_;
   obs::ShardedTailHistogram* tail_integrity_;
+  obs::ShardedTailHistogram* tail_retrain_;
   obs::ShardedTailHistogram* tail_total_;
-  obs::ShardedTailHistogram* tail_batch_;
 };
 
 /// A framework plus serving runtime reconstructed from a checkpoint.

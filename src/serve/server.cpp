@@ -145,10 +145,10 @@ std::size_t DetectionServer::flush(Worker& worker, FlushReason reason) {
     // drain worker this lock is uncontended and the fast path stays
     // lock-free end to end (the lock only serializes multi-worker flushes).
     std::lock_guard<std::mutex> lock(score_mu_);
-    const core::BatchOutcome outcome = runtime_.process_batch_tally(
+    const std::uint64_t retrains = runtime_.process_batch(
         worker.tile.view().rows_slice(0, n),
         std::span<core::TrafficVerdict>(worker.verdicts.data(), n));
-    if (outcome.retrains != 0) retrains_->inc(outcome.retrains);
+    if (retrains != 0) retrains_->inc(retrains);
   }
   const std::uint64_t verdict_tick = now_ns();
   score_us_->observe(obs::now_us_since_epoch() - start_us);

@@ -157,6 +157,11 @@ class ThreadPool {
     }
     for (std::size_t i = 0; i + 1 < n_threads; ++i)
       workers_.emplace_back([this] { worker_loop(); });
+    // Return only once every worker has pre-warmed its arena (worker_loop):
+    // a worker the OS starts late would otherwise pay that first touch
+    // inside whatever region the caller runs next.
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] { return warmed_ == workers_.size(); });
   }
 
   void join_workers() {
@@ -167,6 +172,7 @@ class ThreadPool {
     work_cv_.notify_all();
     for (auto& w : workers_) w.join();
     workers_.clear();
+    warmed_ = 0;
   }
 
   void worker_loop() {
@@ -176,11 +182,16 @@ class ThreadPool {
     // steady-state serving region.  Paying the thread_local registration
     // and the first 64 KB chunk here (a cold path) keeps that first claim
     // heap-silent, preserving the zero-allocation property regardless of
-    // which thread the cursor hands each chunk to.
+    // which thread the cursor hands each chunk to.  spawn() waits for it.
     {
       ArenaScope warm(scratch_arena());
       (void)warm.alloc<std::byte>(1);
     }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++warmed_;
+    }
+    done_cv_.notify_all();
     for (;;) {
       Region* region = nullptr;
       {
@@ -230,6 +241,7 @@ class ThreadPool {
   Region* region_ = nullptr;    // published slot, guarded by mu_
   std::atomic<std::size_t> active_{0};  // workers inside execute()
   std::size_t n_threads_ = 1;
+  std::size_t warmed_ = 0;  // workers past their arena pre-warm, guarded by mu_
   bool stop_ = false;
 
   std::atomic<std::uint64_t> regions_{0};

@@ -9,17 +9,25 @@
 // every gather buffer, score array, flag array, and NN activation comes
 // out of the per-thread bump arenas (src/util/arena.hpp).
 //
+// Every armed allocation also records its call stack (execinfo
+// backtrace() into static storage, no heap), and a failing assert prints
+// the stacks, so a regression names the allocating call.
+//
 // Runs under the plain preset only (label `alloc`): sanitizers intercept
 // operator new themselves and are excluded via the preset label filters.
+#include <execinfo.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "obs/telemetry.hpp"
 #include "serve/server.hpp"
 #include "util/parallel.hpp"
 
@@ -28,9 +36,37 @@ namespace {
 std::atomic<bool> g_armed{false};
 std::atomic<std::uint64_t> g_allocs{0};
 
+constexpr int kMaxStacks = 4;
+constexpr int kMaxFrames = 32;
+struct Stack {
+  void* frames[kMaxFrames];
+  int depth;
+};
+Stack g_stacks[kMaxStacks];
+
 void note_alloc() {
-  if (g_armed.load(std::memory_order_relaxed))
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (!g_armed.load(std::memory_order_relaxed)) return;
+  const std::uint64_t n = g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (n < kMaxStacks)
+    g_stacks[n].depth = backtrace(g_stacks[n].frames, kMaxFrames);
+}
+
+void arm() {
+  g_allocs.store(0);
+  g_armed.store(true);
+}
+
+/// Disarm and return the count, printing the first recorded stacks to
+/// stderr (backtrace_symbols_fd writes without allocating).
+std::uint64_t disarm() {
+  g_armed.store(false);
+  const std::uint64_t n = g_allocs.load();
+  for (std::uint64_t i = 0; i < n && i < kMaxStacks; ++i) {
+    std::fprintf(stderr, "armed allocation %llu:\n",
+                 static_cast<unsigned long long>(i));
+    backtrace_symbols_fd(g_stacks[i].frames, g_stacks[i].depth, STDERR_FILENO);
+  }
+  return n;
 }
 
 void* counted_alloc(std::size_t size) {
@@ -91,6 +127,10 @@ namespace {
 class ZeroAllocFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // backtrace() loads its unwinder on first use, which allocates: pay
+    // that here, outside any armed window.
+    void* frame[1];
+    (void)backtrace(frame, 1);
     core::FrameworkConfig cfg;
     cfg.corpus.benign_apps = 80;
     cfg.corpus.malware_apps = 80;
@@ -138,22 +178,30 @@ TEST_F(ZeroAllocFixture, SteadyStateProcessBatchDoesNotAllocate) {
 
   const std::size_t saved_threads = util::parallel_thread_count();
   std::vector<core::TrafficVerdict> verdicts(probe.rows());
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2}}) {
-    util::set_parallel_threads(width);
-    // Warm-up: arenas and the pool's region slot grow to high water.
-    for (int pass = 0; pass < 5; ++pass)
-      runtime.process_batch(probe.view(), verdicts);
+  for (const bool telemetry : {false, true}) {
+    obs::Telemetry::set_enabled(telemetry);
+    // The parallel pool's telemetry bridge appends every region and chunk
+    // to the tracer's event log, which grows by design (like retrain and
+    // the vault re-hash above).  Detach it so the telemetry-on pass counts
+    // what the runtime itself records: the stage tails.
+    if (telemetry) util::set_parallel_observer(nullptr);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{2}}) {
+      util::set_parallel_threads(width);
+      // Warm-up: arenas, the pool's region slot and (telemetry on) this
+      // thread's stage-tail shards grow to high water.
+      for (int pass = 0; pass < 5; ++pass)
+        runtime.process_batch(probe.view(), verdicts);
 
-    g_allocs.store(0);
-    g_armed.store(true);
-    for (int pass = 0; pass < 10; ++pass)
-      runtime.process_batch(probe.view(), verdicts);
-    g_armed.store(false);
-    const std::uint64_t allocs = g_allocs.load();
-    EXPECT_EQ(allocs, 0u) << "heap allocations in steady-state "
-                             "process_batch at DRLHMD_THREADS="
-                          << width;
+      arm();
+      for (int pass = 0; pass < 10; ++pass)
+        runtime.process_batch(probe.view(), verdicts);
+      const std::uint64_t allocs = disarm();
+      EXPECT_EQ(allocs, 0u) << "heap allocations in steady-state "
+                               "process_batch at DRLHMD_THREADS="
+                            << width << ", telemetry " << telemetry;
+    }
   }
+  obs::Telemetry::set_enabled(false);
   util::set_parallel_threads(saved_threads);
 }
 
@@ -191,11 +239,9 @@ TEST_F(ZeroAllocFixture, SteadyStateServingDrainLoopDoesNotAllocate) {
 
   // Armed: the whole enqueue -> ring -> stage -> score -> completion-queue
   // loop must stay off the heap.
-  g_allocs.store(0);
-  g_armed.store(true);
+  arm();
   for (int pass = 0; pass < 10; ++pass) pump();
-  g_armed.store(false);
-  EXPECT_EQ(g_allocs.load(), 0u)
+  EXPECT_EQ(disarm(), 0u)
       << "heap allocations in the steady-state serving drain loop";
 
   const serve::ServeStats stats = server.stats();

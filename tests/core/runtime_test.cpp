@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -16,6 +20,10 @@ FrameworkConfig runtime_config() {
   cfg.corpus.benign_apps = 80;
   cfg.corpus.malware_apps = 80;
   cfg.corpus.windows_per_app = 4;
+  // Accuracy-only agent reward: the constraint term reads a wall-clock
+  // latency profile, which a retrain re-measures, so two identical
+  // deployments could otherwise schedule different detectors after it.
+  cfg.controller.accuracy_weight = 1.0;
   return cfg;
 }
 
@@ -84,48 +92,92 @@ TEST_F(RuntimeFixture, ProcessStreamReportsMetrics) {
 }
 
 TEST_F(RuntimeFixture, BatchVerdictsMatchSequentialProcess) {
+  // Retrain off, so the deployed models stay frozen and every verdict
+  // follows from the two lines of defense scored row by row.
+  RuntimeConfig cfg;
+  cfg.retrain_threshold = 0;
   const auto& mix = framework_->attacked_test_mix();
-  DetectionRuntime sequential(*framework_);
+  const auto& predictor = framework_->predictor();
+  const auto& controller = framework_->controller(cfg.policy);
   std::vector<TrafficVerdict> expected;
   expected.reserve(mix.size());
-  for (const auto& row : mix.rows_copy()) expected.push_back(sequential.process(row));
+  for (const auto& row : mix.rows_copy()) {
+    if (predictor.is_adversarial(row))
+      expected.push_back(TrafficVerdict::kAdversarialMalware);
+    else
+      expected.push_back(controller.predict(row) == 1 ? TrafficVerdict::kMalware
+                                                      : TrafficVerdict::kBenign);
+  }
 
-  DetectionRuntime batched(*framework_);
+  DetectionRuntime sequential(*framework_, cfg);
+  std::vector<TrafficVerdict> per_row;
+  per_row.reserve(mix.size());
+  for (const auto& row : mix.rows_copy()) per_row.push_back(sequential.process(row));
+  EXPECT_EQ(per_row, expected);
+
+  DetectionRuntime batched(*framework_, cfg);
   const std::vector<TrafficVerdict> got = batched.process_batch(mix.X.view());
   EXPECT_EQ(got, expected);
-  EXPECT_EQ(batched.stats().processed, sequential.stats().processed);
-  EXPECT_EQ(batched.stats().adversarial, sequential.stats().adversarial);
-  EXPECT_EQ(batched.stats().malware, sequential.stats().malware);
-  EXPECT_EQ(batched.stats().benign, sequential.stats().benign);
+  const auto count = [&expected](TrafficVerdict v) {
+    return static_cast<std::uint64_t>(
+        std::count(expected.begin(), expected.end(), v));
+  };
+  EXPECT_EQ(batched.stats().processed, mix.size());
+  EXPECT_EQ(batched.stats().adversarial,
+            count(TrafficVerdict::kAdversarialMalware));
+  EXPECT_EQ(batched.stats().malware, count(TrafficVerdict::kMalware));
+  EXPECT_EQ(batched.stats().benign, count(TrafficVerdict::kBenign));
+  EXPECT_EQ(batched.quarantine_size(), count(TrafficVerdict::kAdversarialMalware));
 }
 
-TEST_F(RuntimeFixture, BatchTallyReportsPerBatchVerdictDeltas) {
-  const auto& mix = framework_->attacked_test_mix();
-  DetectionRuntime runtime(*framework_);
-  const std::size_t n = std::min<std::size_t>(mix.size(), 32);
-  std::vector<TrafficVerdict> verdicts(n);
-  const BatchOutcome outcome =
-      runtime.process_batch_tally(mix.X.view().rows_slice(0, n),
-                                  std::span<TrafficVerdict>(verdicts));
-  // The tally is the per-batch delta of the registry counters, so it must
-  // agree exactly with the verdicts written into the span.
-  std::size_t benign = 0, malware = 0, adversarial = 0;
-  for (const TrafficVerdict v : verdicts) {
-    benign += v == TrafficVerdict::kBenign ? 1 : 0;
-    malware += v == TrafficVerdict::kMalware ? 1 : 0;
-    adversarial += v == TrafficVerdict::kAdversarialMalware ? 1 : 0;
-  }
-  EXPECT_EQ(outcome.benign, benign);
-  EXPECT_EQ(outcome.malware, malware);
-  EXPECT_EQ(outcome.adversarial, adversarial);
-  EXPECT_EQ(outcome.benign + outcome.malware + outcome.adversarial, n);
+TEST_F(RuntimeFixture, MidBatchRetrainMatchesPerRowProcess) {
+  // Two identical deployments: one walks the attacked mix row by row, the
+  // other scores it in one call and must re-score the rows after every
+  // retrain that fires mid-batch.
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("runtime-retrain-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  framework_->save_checkpoint(dir);
+  Framework per_row_fw = Framework::resume(dir);
+  Framework batched_fw = Framework::resume(dir);
+  std::filesystem::remove_all(dir);
 
-  // A second batch tallies only its own rows, not the running totals.
-  const BatchOutcome again =
-      runtime.process_batch_tally(mix.X.view().rows_slice(0, n),
-                                  std::span<TrafficVerdict>(verdicts));
-  EXPECT_EQ(again.benign + again.malware + again.adversarial, n);
-  EXPECT_EQ(runtime.stats().processed, 2 * n);
+  RuntimeConfig cfg;
+  cfg.retrain_threshold = 10;
+  cfg.integrity_check_period = 7;
+  const auto& mix = framework_->attacked_test_mix();
+
+  DetectionRuntime per_row(per_row_fw, cfg);
+  std::vector<TrafficVerdict> expected;
+  expected.reserve(mix.size());
+  for (const auto& row : mix.rows_copy()) expected.push_back(per_row.process(row));
+
+  DetectionRuntime batched(batched_fw, cfg);
+  std::vector<TrafficVerdict> got(mix.size());
+  const std::uint64_t retrains =
+      batched.process_batch(mix.X.view(), std::span<TrafficVerdict>(got));
+
+  EXPECT_EQ(got, expected);
+  const RuntimeStats a = per_row.stats();
+  const RuntimeStats b = batched.stats();
+  EXPECT_EQ(b.processed, a.processed);
+  EXPECT_EQ(b.benign, a.benign);
+  EXPECT_EQ(b.malware, a.malware);
+  EXPECT_EQ(b.adversarial, a.adversarial);
+  EXPECT_EQ(b.retrains, a.retrains);
+  EXPECT_EQ(b.integrity_checks, a.integrity_checks);
+  EXPECT_EQ(b.integrity_alarms, a.integrity_alarms);
+  EXPECT_GE(b.retrains, 2u);
+  EXPECT_EQ(retrains, b.retrains);
+  EXPECT_EQ(batched.quarantine_size(), per_row.quarantine_size());
+  ASSERT_EQ(batched_fw.defended_models().size(),
+            per_row_fw.defended_models().size());
+  for (std::size_t i = 0; i < per_row_fw.defended_models().size(); ++i)
+    EXPECT_EQ(batched_fw.defended_models()[i]->serialize(),
+              per_row_fw.defended_models()[i]->serialize())
+        << per_row_fw.defended_models()[i]->name();
 }
 
 TEST_F(RuntimeFixture, IntegrityValidationPasses) {
@@ -191,34 +243,53 @@ TEST_F(RuntimeFixture, StatsViewMatchesRegistryCounters) {
 }
 
 TEST_F(RuntimeFixture, StageLatencyHistogramsRecordWhenTelemetryEnabled) {
+  RuntimeConfig cfg;
+  cfg.retrain_threshold = 25;
   obs::Telemetry::set_enabled(true);
-  DetectionRuntime runtime(*framework_);
+  DetectionRuntime runtime(*framework_, cfg);
   const auto& mix = framework_->attacked_test_mix();
   const std::size_t n = std::min<std::size_t>(mix.size(), 40);
   for (std::size_t i = 0; i < n; ++i) runtime.process(mix.row_copy(i));
+
+  const auto count = [&runtime](const char* stage) {
+    const obs::MetricsSnapshot snap = runtime.metrics().snapshot();
+    const auto* tail =
+        snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", stage}});
+    return tail != nullptr ? tail->data.count : std::uint64_t{0};
+  };
+  // Every process() call is one 1-row process_batch: one observation each.
+  EXPECT_EQ(count("total"), n);
+  EXPECT_EQ(count("predictor"), n);
+  EXPECT_EQ(count("detector"), n);
+
+  // One k-row batch is one more observation per stage, however many
+  // chunks and re-score rounds it took; each retrain is timed on its own.
+  const ml::Dataset& adv = framework_->adversarial_test();
+  const std::uint64_t retrains_before = runtime.stats().retrains;
+  std::vector<TrafficVerdict> verdicts(adv.size());
+  const std::uint64_t retrains =
+      runtime.process_batch(adv.X.view(), std::span<TrafficVerdict>(verdicts));
   obs::Telemetry::set_enabled(false);
+  EXPECT_EQ(count("total"), n + 1);
+  EXPECT_EQ(count("predictor"), n + 1);
+  EXPECT_EQ(count("detector"), n + 1);
+  EXPECT_GE(retrains, 1u);
+  EXPECT_EQ(runtime.stats().retrains, retrains_before + retrains);
+  EXPECT_EQ(count("retrain"), runtime.stats().retrains);
 
   const obs::MetricsSnapshot snap = runtime.metrics().snapshot();
   const auto* total =
       snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "total"}});
-  const auto* predictor =
-      snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "predictor"}});
   ASSERT_NE(total, nullptr);
-  ASSERT_NE(predictor, nullptr);
-  EXPECT_EQ(total->data.count, n);
-  EXPECT_EQ(predictor->data.count, n);
   EXPECT_LE(total->data.p50, total->data.p90);
   EXPECT_LE(total->data.p90, total->data.p99);
   EXPECT_GT(total->data.max, 0.0);
 
   // With telemetry off, further samples bump counters but not histograms.
+  const std::uint64_t processed = runtime.stats().processed;
   runtime.process(mix.row_copy(0));
-  const auto after = runtime.metrics().snapshot();
-  EXPECT_EQ(
-      after.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "total"}})
-          ->data.count,
-      n);
-  EXPECT_EQ(after.find_counter("drlhmd.runtime.processed")->value, n + 1);
+  EXPECT_EQ(count("total"), n + 1);
+  EXPECT_EQ(runtime.stats().processed, processed + 1);
 }
 
 TEST_F(RuntimeFixture, IncrementalUpdateRejectsBenignLabels) {
